@@ -1,0 +1,1 @@
+"""perfbench: the repository benchmark (see README.md and run.py)."""
