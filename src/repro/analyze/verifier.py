@@ -135,7 +135,6 @@ def _check_coverage(instrumented: InstrumentedLoop, hb: HBResult,
                     report: AnalysisReport) -> None:
     placement = hb.placement
     nodes = placement.nodes
-    in_window = set(placement.pids)
 
     # (tag, kind) -> access node ids, for address matching
     regions: Dict[Tuple[Any, str], List[int]] = {}
@@ -149,13 +148,11 @@ def _check_coverage(instrumented: InstrumentedLoop, hb: HBResult,
 
     seen_arcs: Dict[Tuple[str, str, str, int], bool] = {}
     checked = 0
-    for instance in instrumented.graph.dependence_instances():
+    # same-iteration instances are enforced by sequential execution
+    # in-process; the slice leaves them out
+    for instance in instrumented.graph.window_instances(placement.pids):
         (src_sid, src_lpid), (dst_sid, dst_lpid), addr, src_kind, \
             dst_kind = instance
-        if src_lpid == dst_lpid:
-            continue  # enforced by sequential execution in-process
-        if src_lpid not in in_window or dst_lpid not in in_window:
-            continue
         dep_type = _DEP_TYPE[(src_kind, dst_kind)]
         arc_key = (src_sid, dst_sid, dep_type, dst_lpid - src_lpid)
         if seen_arcs.get(arc_key) is False:

@@ -40,13 +40,7 @@ def linear_distance(loop: Loop, distance: Tuple[int, ...]) -> int:
     For a nest with extents ``(N, M)`` a distance vector ``(di, dj)``
     becomes ``di * M + dj`` linear processes apart.
     """
-    strides: List[int] = []
-    stride = 1
-    for extent in reversed(loop.extents):
-        strides.append(stride)
-        stride *= extent
-    strides.reverse()
-    return sum(d * s for d, s in zip(distance, strides))
+    return sum(d * s for d, s in zip(distance, loop.strides))
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,12 @@ class SyncArc:
 
 
 class DependenceGraph:
-    """Statement-level dependence graph of one loop nest."""
+    """Statement-level dependence graph of one loop nest.
+
+    Immutable once built, like its :class:`Loop`: the concrete
+    dependence instances are enumerated once per graph and memoized,
+    as is each iteration window's slice of them.
+    """
 
     def __init__(self, loop: Loop,
                  dependences: Optional[Sequence[Dependence]] = None) -> None:
@@ -82,6 +81,9 @@ class DependenceGraph:
             self.graph.add_node(stmt.sid)
         for dep in self.dependences:
             self.graph.add_edge(dep.src, dep.dst, dep=dep)
+        self._instances: Optional[Tuple[DependenceInstance, ...]] = None
+        self._window_slices: Dict[Tuple[int, ...],
+                                  Tuple[DependenceInstance, ...]] = {}
 
     # ------------------------------------------------------------------
     # classification helpers
@@ -207,35 +209,65 @@ class DependenceGraph:
     # validator support
     # ------------------------------------------------------------------
 
-    def dependence_instances(self) -> List[DependenceInstance]:
+    def dependence_instances(self) -> Tuple[DependenceInstance, ...]:
         """Concrete (source tag, sink tag, address) ordering obligations.
 
         Tags are ``(sid, lpid)``.  Guarded statements contribute only the
-        instances where both endpoints actually execute.
+        instances where both endpoints actually execute.  Enumerated once
+        per graph; every later call returns the same tuple.
         """
+        if self._instances is None:
+            self._instances = self._enumerate_instances()
+        return self._instances
+
+    def window_instances(self, lpids: Sequence[int]
+                         ) -> Tuple[DependenceInstance, ...]:
+        """Cross-iteration instances with both endpoints in ``lpids``.
+
+        In :meth:`dependence_instances` order; sliced once per window and
+        memoized (the static verifier checks the same windows of one
+        graph many times over).
+        """
+        key = tuple(lpids)
+        sliced = self._window_slices.get(key)
+        if sliced is None:
+            members = set(key)
+            sliced = self._window_slices[key] = tuple(
+                instance for instance in self.dependence_instances()
+                if instance[0][1] != instance[1][1]
+                and instance[0][1] in members
+                and instance[1][1] in members)
+        return sliced
+
+    def _enumerate_instances(self) -> Tuple[DependenceInstance, ...]:
+        # A known distance solves the two references' subscript system
+        # for every iteration (analysis.py requires equal index
+        # coefficients), so a source inside the bounds always touches
+        # the sink's address; tests/depend pins that on every app.
+        loop = self.loop
         kinds = {"flow": ("W", "R"), "anti": ("R", "W"),
                  "output": ("W", "W")}
+        space = [(index, loop.lpid(index))
+                 for index in loop.iteration_space()]
         instances: List[DependenceInstance] = []
         for dep in self.dependences:
             if dep.distance is None:
                 continue
             delta = dep.distance
-            src_stmt = self.loop.statement(dep.src)
-            dst_stmt = self.loop.statement(dep.dst)
+            lpid_gap = linear_distance(loop, delta)
+            src_stmt = loop.statement(dep.src)
+            dst_stmt = loop.statement(dep.dst)
             src_kind, dst_kind = kinds[dep.dep_type]
-            for index in self.loop.iteration_space():
+            for index, lpid in space:
                 source_index = tuple(i - d for i, d in zip(index, delta))
-                if not self.loop.in_bounds(source_index):
+                if not loop.in_bounds(source_index):
                     continue
                 if not src_stmt.executes_at(source_index):
                     continue
                 if not dst_stmt.executes_at(index):
                     continue
-                addr = self.loop.address_of(dep.dst_ref, index)
-                if addr != self.loop.address_of(dep.src_ref, source_index):
-                    continue  # distinct elements (defensive; cannot happen)
                 instances.append((
-                    (dep.src, self.loop.lpid(source_index)),
-                    (dep.dst, self.loop.lpid(index)),
-                    addr, src_kind, dst_kind))
-        return instances
+                    (dep.src, lpid - lpid_gap), (dep.dst, lpid),
+                    loop.address_of(dep.dst_ref, index),
+                    src_kind, dst_kind))
+        return tuple(instances)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.ops import Address
@@ -138,6 +139,15 @@ class Statement:
             yield "R", ref
 
 
+def _row_major_strides(extents: Tuple[int, ...]) -> Tuple[int, ...]:
+    strides: List[int] = []
+    stride = 1
+    for extent in reversed(extents):
+        strides.append(stride)
+        stride *= extent
+    return tuple(reversed(strides))
+
+
 @dataclass
 class Loop:
     """A perfect nest of ``DO`` loops with a straight-line (possibly
@@ -146,6 +156,11 @@ class Loop:
     ``bounds`` are inclusive ``(lo, hi)`` pairs, outermost first.  Array
     elements are flattened to ``(array, flat_index)`` addresses using
     ``array_shapes`` (row-major); arrays default to one dimension.
+
+    A loop is immutable once built: ``extents``, the lpid ``strides``
+    and every reference's lowered subscripts are computed once and
+    cached on the object, and :class:`repro.depend.graph.DependenceGraph`
+    memoizes the loop's dependence instances on the same assumption.
     """
 
     name: str
@@ -161,6 +176,19 @@ class Loop:
         sids = [s.sid for s in self.body]
         if len(set(sids)) != len(sids):
             raise ValueError(f"duplicate statement ids in {self.name}: {sids}")
+        #: iterations per nesting level, outermost first
+        self.extents: Tuple[int, ...] = tuple(
+            hi - lo + 1 for lo, hi in self.bounds)
+        #: row-major strides of the iteration space: index vectors that
+        #: differ by ``delta`` are ``sum(strides * delta)`` lpids apart
+        #: (Example 2's coalescing)
+        self.strides: Tuple[int, ...] = _row_major_strides(self.extents)
+        self._lpid_base = 1 - sum(map(mul, self.strides,
+                                      (lo for lo, _hi in self.bounds)))
+        #: id(ref) -> (ref, array, flat address at the zero index,
+        #: flat coefficient per nesting level); see :meth:`address_of`
+        self._lowered: Dict[int, Tuple[ArrayRef, str, int,
+                                       Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     # iteration space
@@ -169,10 +197,6 @@ class Loop:
     @property
     def depth(self) -> int:
         return len(self.bounds)
-
-    @property
-    def extents(self) -> Tuple[int, ...]:
-        return tuple(hi - lo + 1 for lo, hi in self.bounds)
 
     def iteration_space(self) -> List[Index]:
         """All iterations in sequential (lexicographic) order."""
@@ -187,10 +211,7 @@ class Loop:
         """Linearized process id (1-based), as in the paper's Example 2:
         for index set ``(i, j)`` with inner extent M, ``lpid = (i-1)*M+j``
         (generalized to arbitrary depth and bounds)."""
-        pid = 0
-        for (lo, _hi), extent, i in zip(self.bounds, self.extents, index):
-            pid = pid * extent + (i - lo)
-        return pid + 1
+        return self._lpid_base + sum(map(mul, self.strides, index))
 
     def index_of_lpid(self, lpid: int) -> Index:
         """Inverse of :meth:`lpid`."""
@@ -232,8 +253,33 @@ class Loop:
         return (array, flat)
 
     def address_of(self, ref: ArrayRef, index: Index) -> Address:
-        """Flat address that ``ref`` touches at iteration ``index``."""
-        return self.flatten(ref.array, ref.element(index))
+        """Flat address that ``ref`` touches at iteration ``index``.
+
+        Subscripts are affine and row-major flattening is linear, so the
+        flat address is affine in the index vector.  Each reference is
+        lowered to that form once per loop, on first use, through
+        :meth:`ArrayRef.element` and :meth:`flatten`: a malformed
+        reference fails with their errors.
+        """
+        lowered = self._lowered.get(id(ref))
+        if lowered is None or lowered[0] is not ref:
+            lowered = self._lower(ref)
+        _ref, array, flat, coefs = lowered
+        return (array, flat + sum(map(mul, coefs, index)))
+
+    def _lower(self, ref: ArrayRef) -> Tuple[ArrayRef, str, int,
+                                             Tuple[int, ...]]:
+        origin = self.flatten(ref.array, ref.element((0,) * self.depth))[1]
+        coefs = tuple(
+            self.flatten(ref.array, ref.element(
+                tuple(int(k == level) for k in range(self.depth))))[1]
+            - origin
+            for level in range(self.depth))
+        # The entry holds ``ref`` itself: that keeps its id from being
+        # reused while the loop lives, and a copied or unpickled loop
+        # whose ids went stale re-lowers instead of misreading an entry.
+        lowered = self._lowered[id(ref)] = (ref, ref.array, origin, coefs)
+        return lowered
 
     def statement(self, sid: str) -> Statement:
         """Look a statement up by id."""

@@ -46,6 +46,8 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..compiler.pipeline import compile_loop
+from ..depend.graph import DependenceGraph
+from ..depend.model import Loop
 from ..faults.plan import make_plan
 from ..recovery import RecoveryPolicy
 from ..schemes.registry import make_scheme
@@ -100,7 +102,9 @@ class JobCancelled(RuntimeError):
     """
 
 
-def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+def _elimination_info(config: Mapping[str, Any], loop: Loop,
+                      graph: Optional[DependenceGraph]
+                      ) -> Optional[Dict[str, Any]]:
     """The cell's redundant-sync column: optimizer counts, as metrics.
 
     Analysis only -- the simulated run keeps the scheme's full
@@ -112,16 +116,17 @@ def _elimination_info(config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     record consumers keep working, and adds the optimizer's predicted
     cycle counts and chosen configuration.  Imported lazily:
     :mod:`repro.analyze` imports ``lab.apps``, so a module-level import
-    here would be circular.
+    here would be circular.  ``loop`` and ``graph`` are the cell's own,
+    so the run's validation reuses the dependence instances the
+    optimizer already enumerated.
     """
     if not config.get("eliminate") or config["scheme"] == AUTO_SCHEME:
         return None
     from ..analyze import AnalysisError
     from ..analyze.optimize import optimize
-    loop = build_app(config["app"], config["app_params"])
     try:
         report = optimize(loop, make_scheme(config["scheme"]),
-                          app=config["app"])
+                          graph=graph, app=config["app"])
     except (AnalysisError, NotImplementedError, ValueError) as err:
         return {"supported": False,
                 "reason": str(err).splitlines()[0]}
@@ -182,7 +187,9 @@ def execute_cell(config: Mapping[str, Any],
                            eliminate=bool(config.get("eliminate"))).key
     loop = build_app(config["app"], config["app_params"])
     serial_cycles = loop.serial_cycles()
-    elimination = _elimination_info(config)
+    graph = (None if config["scheme"] == AUTO_SCHEME
+             else DependenceGraph(loop))
+    elimination = _elimination_info(config, loop, graph)
     machine = _machine_for(config)
     compile_info: Optional[Dict[str, Any]] = None
     if config["scheme"] == AUTO_SCHEME:
@@ -200,7 +207,8 @@ def execute_cell(config: Mapping[str, Any],
                                elimination=elimination)
         instrumented = decision.instrumented
     else:
-        instrumented = make_scheme(config["scheme"]).instrument(loop)
+        instrumented = make_scheme(config["scheme"]).instrument(loop,
+                                                                graph)
     if config["wait_bound"] is not None:
         instrumented.bound_waits(config["wait_bound"])
     try:
