@@ -22,13 +22,16 @@ The building blocks -- :func:`placement_arcs`, :func:`estimate_cost`
 and the re-instrument-and-verify admission gate :func:`arc_gate` -- are
 shared with :mod:`repro.analyze.optimize`, which replaces this module's
 single greedy pass with a cost-model-guided search over (scheme
-configuration, fold factor, arc subset).
+configuration, fold factor, arc subset).  The search and the
+farthest-first baseline it runs share one verdict memo per call
+(through the private ``_arc_gate`` and ``_eliminate``), so no placement
+is verified twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..compiler.cost_model import (estimate_process_oriented,
                                    estimate_statement_oriented)
@@ -45,6 +48,9 @@ __all__ = ["ARC_SCHEMES", "EliminationResult", "placement_arcs",
 
 #: schemes whose placement is driven by an explicit arc list
 ARC_SCHEMES = ("statement-oriented", "process-oriented")
+
+#: (configuration, ordered arc list) -> :func:`arc_gate`'s verdict
+_Verdicts = Dict[Tuple[SyncScheme, Tuple[SyncArc, ...]], Any]
 
 
 @dataclass
@@ -107,12 +113,23 @@ def arc_gate(loop: Loop, scheme: SyncScheme, graph: DependenceGraph,
     ``None`` when the reduced plan is not even analyzable (which the
     callers treat as "keep the arc").
     """
-    try:
-        candidate = scheme.instrument(loop, graph, arcs=arcs)
-        return verify_instrumented(candidate, window=window, app=app,
-                                   scheme_name=scheme.name)
-    except AnalysisError:
-        return None
+    return _arc_gate({}, loop, scheme, graph, arcs, window=window, app=app)
+
+
+def _arc_gate(verdicts: _Verdicts, loop: Loop, scheme: SyncScheme,
+              graph: DependenceGraph, arcs: List[SyncArc], *,
+              window: Optional[int], app: str) -> Optional[AnalysisReport]:
+    """:func:`arc_gate`, judging each placement once per ``verdicts``
+    (one memo per search: ``window`` and ``app`` never vary in it)."""
+    key = (scheme, tuple(arcs))
+    if key not in verdicts:
+        try:
+            candidate = scheme.instrument(loop, graph, arcs=arcs)
+            verdicts[key] = verify_instrumented(
+                candidate, window=window, app=app, scheme_name=scheme.name)
+        except AnalysisError:
+            verdicts[key] = None
+    return verdicts[key]
 
 
 def eliminate(loop: Loop, scheme: SyncScheme, *,
@@ -120,15 +137,28 @@ def eliminate(loop: Loop, scheme: SyncScheme, *,
               app: str = "?",
               window: Optional[int] = None) -> EliminationResult:
     """Drop every arc the verifier proves redundant."""
+    return _eliminate({}, loop, scheme, graph=graph, app=app, window=window)
+
+
+def _eliminate(verdicts: _Verdicts, loop: Loop, scheme: SyncScheme, *,
+               graph: Optional[DependenceGraph], app: str,
+               window: Optional[int]) -> EliminationResult:
+    """:func:`eliminate`, reading and filling the verdict memo.
+
+    The default placement verifies exactly like one compiled from its
+    own arc list; only an unanalyzable verdict is re-derived, to raise.
+    """
     if scheme.name not in ARC_SCHEMES:
         raise AnalysisError(
             f"scheme {scheme.name!r} is not arc-driven; elimination "
             f"applies to {ARC_SCHEMES}")
     graph = graph or DependenceGraph(loop)
     instrumented = scheme.instrument(loop, graph)
-    baseline = verify_instrumented(instrumented, window=window, app=app,
-                                   scheme_name=scheme.name)
     arcs = placement_arcs(scheme, instrumented)
+    baseline = (_arc_gate(verdicts, loop, scheme, graph, arcs,
+                          window=window, app=app)
+                or verify_instrumented(instrumented, window=window,
+                                       app=app, scheme_name=scheme.name))
     result = EliminationResult(app=app, scheme=scheme.name,
                                baseline=baseline, kept=list(arcs))
     result.sync_ops_before = _estimate_ops(scheme, loop, graph, arcs)
@@ -141,8 +171,8 @@ def eliminate(loop: Loop, scheme: SyncScheme, *,
     # through shorter arcs (or the fold's ownership chain) can cover.
     for arc in sorted(arcs, key=lambda a: (-a.distance, a.src, a.dst)):
         trial = [kept for kept in result.kept if kept is not arc]
-        report = arc_gate(loop, scheme, graph, trial, window=window,
-                          app=app)
+        report = _arc_gate(verdicts, loop, scheme, graph, trial,
+                           window=window, app=app)
         if report is None:
             continue  # the reduced plan is not analyzable: keep the arc
         if report.clean:
@@ -167,25 +197,31 @@ def validate_elimination(loop: Loop, scheme: SyncScheme,
     states differ.
     """
     graph = DependenceGraph(loop)
-    machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule,
-                                    record_trace=True))
-    before = scheme.instrument(loop, graph)
-    run_before = machine.run(before)
-    before.validate(run_before)
-
-    after = scheme.instrument(loop, graph, arcs=list(result.kept))
-    run_after = machine.run(after)
-    after.validate(run_after)
-
-    state_before = before.extract_final_state(run_before)
-    state_after = after.extract_final_state(run_after)
-    if state_before != state_after:
-        raise AnalysisError(
-            "eliminated placement produced different final state")
+    run_before, run_after = _replay(
+        scheme.instrument(loop, graph),
+        scheme.instrument(loop, graph, arcs=list(result.kept)),
+        processors=processors, schedule=schedule, what="eliminated")
     return {
         "makespan_before": run_before.makespan,
         "makespan_after": run_after.makespan,
         "sync_ops_before": run_before.total_sync_ops,
         "sync_ops_after": run_after.total_sync_ops,
     }
+
+
+def _replay(before: Any, after: Any, *, processors: int, schedule: str,
+            what: str) -> Tuple[Any, Any]:
+    """Run two placements on identical machines; both must validate
+    and end in identical array state (:class:`AnalysisError` if not)."""
+    machine = Machine(MachineConfig(processors=processors,
+                                    schedule=schedule,
+                                    record_trace=True))
+    runs = []
+    for placement in (before, after):
+        runs.append(machine.run(placement))
+        placement.validate(runs[-1])
+    if (before.extract_final_state(runs[0])
+            != after.extract_final_state(runs[1])):
+        raise AnalysisError(
+            f"{what} placement produced different final state")
+    return runs[0], runs[1]

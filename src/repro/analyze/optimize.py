@@ -32,6 +32,7 @@ style comparison of the two runs' headline metrics.
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field
@@ -41,10 +42,8 @@ from ..compiler.delay import doacross_delay
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..schemes.base import SyncScheme
-from ..schemes.registry import make_scheme
-from ..sim.machine import Machine, MachineConfig
-from .eliminate import (ARC_SCHEMES, arc_gate, eliminate, estimate_cost,
-                        placement_arcs)
+from .eliminate import (ARC_SCHEMES, _Verdicts, _arc_gate, _eliminate,
+                        _replay, estimate_cost, placement_arcs)
 from .findings import RedundantArc
 from .verifier import AnalysisError
 
@@ -222,15 +221,22 @@ def _configurations(scheme: SyncScheme) -> List[SyncScheme]:
     for x in (scheme.n_counters,) + _FOLD_CANDIDATES:
         if x >= 2 and x not in folds:
             folds.append(x)
-    return [scheme if x == scheme.n_counters
-            else make_scheme("process-oriented", n_counters=x)
+    return [scheme if x == scheme.n_counters else _with_fold(scheme, x)
             for x in sorted(folds)]
+
+
+def _with_fold(scheme: SyncScheme, n_counters: int) -> SyncScheme:
+    """``scheme`` with only its fold factor changed."""
+    variant = copy.copy(scheme)
+    variant.n_counters = n_counters
+    return variant
 
 
 def _search_config(loop: Loop, graph: DependenceGraph,
                    scheme: SyncScheme, *, app: str,
                    window: Optional[int], processors: int,
-                   audit: List[CandidateTrial]) -> Optional[dict]:
+                   audit: List[CandidateTrial],
+                   verdicts: _Verdicts) -> Optional[dict]:
     """Best-improvement greedy arc elimination for one configuration.
 
     Every round scores each single-arc removal with the cost model and
@@ -249,7 +255,8 @@ def _search_config(loop: Loop, graph: DependenceGraph,
             verdict="rejected:unanalyzable", detail=str(err)))
         return None
     arcs = placement_arcs(scheme, instrumented)
-    report = arc_gate(loop, scheme, graph, arcs, window=window, app=app)
+    report = _arc_gate(verdicts, loop, scheme, graph, arcs, window=window,
+                       app=app)
     score = _objective(loop, graph, scheme, arcs, processors)
     if report is None or not report.clean:
         audit.append(CandidateTrial(
@@ -280,8 +287,8 @@ def _search_config(loop: Loop, graph: DependenceGraph,
             if trial_score >= score:
                 break  # no removal predicts an improvement any more
             trial = [a for a in kept if a is not arc]
-            trial_report = arc_gate(loop, scheme, graph, trial,
-                                    window=window, app=app)
+            trial_report = _arc_gate(verdicts, loop, scheme, graph, trial,
+                                     window=window, app=app)
             if trial_report is None:
                 audit.append(CandidateTrial(
                     scheme=scheme.name, fold=fold, action="drop-arc",
@@ -336,12 +343,14 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
             f"applies to {ARC_SCHEMES}")
     graph = graph or DependenceGraph(loop)
     audit: List[CandidateTrial] = []
+    # every trial's verdict, shared with the farthest-first baseline
+    verdicts: _Verdicts = {}
 
     candidates = []
     for config in _configurations(scheme):
         found = _search_config(loop, graph, config, app=app,
                                window=window, processors=processors,
-                               audit=audit)
+                               audit=audit, verdicts=verdicts)
         if found is not None:
             candidates.append(found)
     if not candidates:
@@ -386,7 +395,8 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
 
     # Farthest-first baseline on the same input, summarized with its
     # own objective value so beats_baseline is apples to apples.
-    greedy = eliminate(loop, scheme, graph=graph, app=app, window=window)
+    greedy = _eliminate(verdicts, loop, scheme, graph=graph, app=app,
+                        window=window)
     base_ops, base_cycles = _objective(loop, graph, scheme, greedy.kept,
                                        processors)
     baseline = dict(greedy.summary())
@@ -408,14 +418,9 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
 def _rebuild(loop: Loop, graph: DependenceGraph, scheme: SyncScheme,
              report: OptimizationReport):
     """Re-instrument the report's chosen placement."""
-    if report.chosen_scheme == scheme.name and (
-            report.chosen_fold is None
-            or report.chosen_fold == getattr(scheme, "n_counters", None)):
-        chosen = scheme
-    else:
-        kwargs = ({"n_counters": report.chosen_fold}
-                  if report.chosen_fold is not None else {})
-        chosen = make_scheme(report.chosen_scheme, **kwargs)
+    chosen = scheme  # the search only varies the input's fold factor
+    if report.chosen_fold not in (None, getattr(scheme, "n_counters", None)):
+        chosen = _with_fold(scheme, report.chosen_fold)
     instrumented = chosen.instrument(loop, graph)
     arcs = [arc for arc in placement_arcs(chosen, instrumented)
             if _arc_key(arc) in set(report.kept)]
@@ -436,22 +441,9 @@ def validate_optimization(loop: Loop, scheme: SyncScheme,
     ``report.validation``.
     """
     graph = DependenceGraph(loop)
-    machine = Machine(MachineConfig(processors=processors,
-                                    schedule=schedule,
-                                    record_trace=True))
-    before = scheme.instrument(loop, graph)
-    run_before = machine.run(before)
-    before.validate(run_before)
-
-    after = _rebuild(loop, graph, scheme, report)
-    run_after = machine.run(after)
-    after.validate(run_after)
-
-    state_before = before.extract_final_state(run_before)
-    state_after = after.extract_final_state(run_after)
-    if state_before != state_after:
-        raise AnalysisError(
-            "optimized placement produced different final state")
+    run_before, run_after = _replay(
+        scheme.instrument(loop, graph), _rebuild(loop, graph, scheme, report),
+        processors=processors, schedule=schedule, what="optimized")
     payload = {
         "final_state_identical": True,
         "makespan_before": run_before.makespan,

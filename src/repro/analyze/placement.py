@@ -102,13 +102,13 @@ class StaticPlacement:
     initial_values: Dict[int, Any]
     #: var -> SyncWrite node ids (commit-publishing events)
     write_nodes: Dict[int, List[int]]
-    #: var -> SyncUpdate node ids (counting semantics)
+    #: var -> SyncUpdate node ids (counting; never a SyncWrite var too)
     update_nodes: Dict[int, List[int]]
     #: all WaitUntil node ids (synthetic included)
     wait_nodes: List[int]
     #: (tag, kind, addr) -> node ids of matching data accesses
     access_index: Dict[Tuple[Any, str, Any], List[int]]
-    #: vars with both SyncWrite and SyncUpdate writers (rejected)
+    #: the loop's process-counter fold factor X (1: no counters)
     fold_factor: int = 1
 
 

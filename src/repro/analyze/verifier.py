@@ -45,7 +45,7 @@ __all__ = ["AnalysisError", "verify", "verify_instrumented",
 #: never analyze fewer iterations than this (keeps tiny loops honest)
 _MIN_WINDOW = 4
 
-#: one race finding per dependence arc, not per instance
+#: report at most this many unsatisfiable waits as deadlock findings
 _MAX_DEADLOCK_FINDINGS = 10
 
 _DEP_TYPE = {("W", "R"): "flow", ("R", "W"): "anti",
@@ -146,6 +146,7 @@ def _check_coverage(instrumented: InstrumentedLoop, hb: HBResult,
               if isinstance(nodes[nid].op, Fence)]
         for pid in placement.pids}
 
+    # one race finding per dependence arc, not per instance
     seen_arcs: Dict[Tuple[str, str, str, int], bool] = {}
     checked = 0
     # same-iteration instances are enforced by sequential execution

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..depend.model import Loop
-from ..schemes.base import execute_statement, precompile_statements
+from ..schemes.base import execute_statement
 from ..sim.machine import Machine, MachineConfig
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
@@ -40,7 +40,6 @@ class SerialLoopWorkload:
         self.loop = loop
         self.seed_memory = dict(seed_memory or {})
         self.iterations = [0]
-        precompile_statements(loop)
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         return BroadcastSyncFabric()

@@ -65,8 +65,8 @@ class RunConfig:
 class CompiledStatement:
     """One statement instance's operation stream, compiled once.
 
-    Everything about the instance except its read *values* is known at
-    instrument time: the tag, the read addresses, the compute cost and
+    Everything about the instance except its read *values* is known
+    before the run: the tag, the read addresses, the compute cost and
     the write addresses.  Compiling those into reusable frozen ops (via
     :func:`compile_statement`) moves address arithmetic and operation
     construction out of the simulated run's hot path -- the ops are
@@ -117,19 +117,6 @@ def compile_statement(loop: Loop, stmt: Statement, index: Index,
     if compiled is None:
         compiled = cache[key] = CompiledStatement(loop, stmt, index, lpid)
     return compiled
-
-
-def precompile_statements(loop: Loop) -> None:
-    """Compile every executed statement instance ahead of the run.
-
-    Called by schemes at instrument time so :func:`execute_statement`
-    never constructs ops while the machine clock is running.
-    """
-    for index in loop.iteration_space():
-        lpid = loop.lpid(index)
-        for stmt in loop.body:
-            if stmt.executes_at(index):
-                compile_statement(loop, stmt, index, lpid)
 
 
 def execute_statement(loop: Loop, stmt: Statement, index: Index,
@@ -196,6 +183,8 @@ class InstrumentedLoop(ABC):
         #: memory contents present before the loop runs (set by callers
         #: chaining loops into programs; see repro.compiler.program)
         self.seed_memory: Dict[Address, Any] = {}
+        #: pid -> compiled clean-run op stream, filled on first use
+        self._streams: Dict[int, Any] = {}
 
     # -- Workload protocol -------------------------------------------------
 
@@ -211,14 +200,26 @@ class InstrumentedLoop(ABC):
         """Setup processes (e.g. key initialization); default: none."""
         return []
 
-    def recompile(self) -> None:
-        """Rebuild precompiled op streams from the loop's current state.
+    def _compile(self, pid: int) -> Any:
+        """Compile ``pid``'s clean-run op stream from current state."""
+        raise NotImplementedError
 
-        Schemes compile their clean-run op streams once at instrument
-        time, so mutating scheme state afterwards (sabotage tests,
-        ablations that rewrite the sync plan or the arcs) has no effect
-        until this is called.  Default: nothing precompiled.
+    def _stream(self, pid: int) -> Any:
+        """``pid``'s compiled op stream, compiled on its first use, so a
+        verifier dry run pays only for its window."""
+        stream = self._streams.get(pid)
+        if stream is None:
+            stream = self._streams[pid] = self._compile(pid)
+        return stream
+
+    def recompile(self) -> None:
+        """Forget compiled op streams; each recompiles on its next use.
+
+        A stream, once compiled, serves every later run of this loop, so
+        mutating scheme state (sabotage tests, ablations that rewrite
+        the sync plan or the arcs) needs this call to take effect.
         """
+        self._streams.clear()
 
     def enable_checkpoints(self) -> None:
         """Turn on checkpoint emission for crash recovery (see base attr)."""

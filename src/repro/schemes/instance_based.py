@@ -139,20 +139,13 @@ class InstanceBasedLoop(InstrumentedLoop):
         self.initial_instances = [i for i in self.instances
                                   if i.writer is None]
         #: bits are allocated in instance order on a fresh fabric, so
-        #: their variable ids are known at instrument time (asserted in
-        #: build_fabric); the clean-run op stream compiles here once.
+        #: their ids are known before any run (asserted in
+        #: build_fabric): each iteration's stream compiles on first use.
         cursor = 0
         for instance in self.instances:
             n_bits = len(instance.copies)
             instance.bits = list(range(cursor, cursor + n_bits))
             cursor += n_bits
-        self._programs: dict = {}
-        self.recompile()
-
-    def recompile(self) -> None:
-        """Rebuild the per-iteration op streams (after table mutation)."""
-        self._programs = {pid: self._compile(pid)
-                          for pid in self.iterations}
 
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s clean-run op stream (no checkpoints).
@@ -193,8 +186,8 @@ class InstanceBasedLoop(InstrumentedLoop):
         return program
 
     def _fast_body(self, pid: int) -> Generator:
-        """Replay the precompiled stream (clean runs, no checkpoints)."""
-        for tag_op, reads, compute_op, sid, writes in self._programs[pid]:
+        """Replay the compiled stream (clean runs, no checkpoints)."""
+        for tag_op, reads, compute_op, sid, writes in self._stream(pid):
             yield tag_op
             values: List[Any] = []
             for wait_op, read_op, consume_op in reads:

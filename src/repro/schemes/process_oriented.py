@@ -63,21 +63,14 @@ class ProcessOrientedLoop(InstrumentedLoop):
             n_counters=n_counters, first_pid=1,
             split_fields=split_fields, split_order=split_order)
         self._fabric: Optional[SyncFabric] = None
-        #: per-pid compiled frames: the counters are allocated first on
-        #: a fresh fabric, so their variable ids (slot order from 0) are
-        #: known here (asserted in build_fabric) and every static piece
-        #: of the op stream -- wait ops, guard outcomes, statement
-        #: instances -- compiles once at instrument time.
-        self._frames: dict = {}
-        self.recompile()
 
-    def recompile(self) -> None:
-        """Rebuild the per-iteration frames (after plan mutation)."""
-        self._frames = {pid: self._compile_frames(pid)
-                        for pid in self.iterations}
+    def _compile(self, pid: int) -> list:
+        """``(waits, executed, compiled, stmt_plan)`` per plan statement.
 
-    def _compile_frames(self, pid: int) -> list:
-        """``(waits, executed, compiled, stmt_plan)`` per plan statement."""
+        Counters are allocated first on a fresh fabric, so their ids
+        (slot order from 0) are known before any run (asserted in
+        build_fabric) and every static piece of the stream compiles.
+        """
         index = self.loop.index_of_lpid(pid)
         first_pid = self.counters.first_pid
         n = self.counters.n_counters
@@ -183,7 +176,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
                             eager=self.eager_branch_marks)
         acquired = bool(restore and restore.get("acquired"))
         for stmt_pos, (waits, executed, compiled,
-                       stmt_plan) in enumerate(self._frames[pid]):
+                       stmt_plan) in enumerate(self._stream(pid)):
             replay_skip = stmt_pos < skip_stmt
             if not replay_skip:
                 for op in waits:
@@ -240,7 +233,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
             primitives.owned = bool(restore.get("owned"))
             primitives.last_step = restore.get("last_step", 0)
         for stmt_pos, (waits, executed, compiled,
-                       stmt_plan) in enumerate(self._frames[pid]):
+                       stmt_plan) in enumerate(self._stream(pid)):
             replay_skip = stmt_pos < skip_stmt
             if not replay_skip:
                 for op in waits:

@@ -105,17 +105,10 @@ class ReferenceBasedLoop(InstrumentedLoop):
             {access.addr for accesses in self.plan.values()
              for access in accesses})
         #: keys are allocated in ``elements`` order on a fresh fabric,
-        #: so their variable ids are known at instrument time (asserted
-        #: in build_fabric); the clean-run op stream compiles here once.
+        #: so their ids are known before any run (asserted in
+        #: build_fabric): each iteration's stream compiles on first use.
         self._key_of: Dict[Address, int] = {
             addr: key for key, addr in enumerate(self.elements)}
-        self._programs: Dict[int, list] = {}
-        self.recompile()
-
-    def recompile(self) -> None:
-        """Rebuild the per-iteration op streams (after plan mutation)."""
-        self._programs = {pid: self._compile(pid)
-                          for pid in self.iterations}
 
     def _compile(self, pid: int) -> list:
         """Compile ``pid``'s clean-run op stream (no checkpoints).
@@ -151,8 +144,8 @@ class ReferenceBasedLoop(InstrumentedLoop):
         return program
 
     def _fast_body(self, pid: int) -> Generator:
-        """Replay the precompiled stream (clean runs, no checkpoints)."""
-        for tag_op, reads, compute_op, sid, writes in self._programs[pid]:
+        """Replay the compiled stream (clean runs, no checkpoints)."""
+        for tag_op, reads, compute_op, sid, writes in self._stream(pid):
             yield tag_op
             values: List[Any] = []
             for wait_op, read_op, update_op in reads:

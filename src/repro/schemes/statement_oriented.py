@@ -63,19 +63,11 @@ class StatementOrientedLoop(InstrumentedLoop):
             stmt.sid for stmt in loop.body
             if any(arc.src == stmt.sid for arc in arcs)]
         #: statement counters are allocated first on a fresh fabric, so
-        #: their variable ids are known at instrument time (asserted in
-        #: build_fabric); that lets the whole clean-run op stream be
-        #: compiled here, once, instead of per run.
+        #: their ids are known before any run (asserted in
+        #: build_fabric): each iteration's stream compiles on first use.
         self._sc_vars: Dict[str, int] = {
             sid: var for var, sid in enumerate(self.source_sids)}
         self._first_pid = 1
-        self._programs: Dict[int, list] = {}
-        self.recompile()
-
-    def recompile(self) -> None:
-        """Rebuild the per-iteration op streams (after arc mutation)."""
-        self._programs = {pid: self._compile(pid)
-                          for pid in self.iterations}
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         fabric = BroadcastSyncFabric()
@@ -150,12 +142,12 @@ class StatementOrientedLoop(InstrumentedLoop):
         return program
 
     def _fast_body(self, pid: int) -> Generator:
-        """Replay the precompiled stream (clean runs, no checkpoints).
+        """Replay the compiled stream (clean runs, no checkpoints).
 
         The statement body inlines ``CompiledStatement.stream`` (same op
         sequence) to spare the ``yield from`` frame hop per op.
         """
-        for awaits, compiled, advance in self._programs[pid]:
+        for awaits, compiled, advance in self._stream(pid):
             for op in awaits:
                 yield op
             if compiled is not None:

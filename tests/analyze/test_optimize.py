@@ -104,3 +104,35 @@ def test_fold_search_finds_the_counter_fold_win():
     assert report.chosen_scheme == "process-oriented"
     assert report.chosen_fold is not None
     assert report.chosen_fold < 16  # beat the default fold factor
+
+
+def test_fold_variants_keep_the_input_schemes_settings(monkeypatch):
+    """Only X changes: a basic-style input is searched and replayed basic."""
+    from repro.schemes.process_oriented import ProcessOrientedScheme
+
+    scheme = make_scheme("process-oriented", style="basic",
+                         charge_init=False)
+    settings = {key: value for key, value in vars(scheme).items()
+                if key != "n_counters"}
+    searched = []
+    instrument = ProcessOrientedScheme.instrument
+
+    def recording(self, *args, **kwargs):
+        searched.append(self)
+        return instrument(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessOrientedScheme, "instrument", recording)
+    loop = build_app("fold-chain", GATE_PARAMS["fold-chain"])
+    report = optimize(loop, scheme, app="fold-chain")
+    assert report.chosen_fold != scheme.n_counters
+    assert len({config.n_counters for config in searched}) > 1
+    for config in searched:
+        assert {key: value for key, value in vars(config).items()
+                if key != "n_counters"} == settings
+
+    searched.clear()
+    payload = validate_optimization(loop, scheme, report)
+    assert payload["final_state_identical"] is True
+    replayed = searched[-1]
+    assert replayed.n_counters == report.chosen_fold
+    assert replayed.style == "basic" and replayed.charge_init is False

@@ -54,7 +54,7 @@ def test_dropping_all_waits_is_detected():
     scheme = ProcessOrientedScheme(processors=8)
     instrumented = scheme.instrument(loop)
     instrumented.plan = strip_waits(instrumented.plan)
-    instrumented.recompile()  # op streams are compiled at instrument time
+    instrumented.recompile()  # compiled op streams are cached until this
     result = machine().run(instrumented)
     with pytest.raises(ValidationError):
         instrumented.validate(result)
