@@ -81,7 +81,7 @@ def add_executor_options(parser: argparse.ArgumentParser,
     """Attach the supervised-executor trio shared by fan-out modes.
 
     ``--cell-timeout`` / ``--max-retries`` / ``--resume`` configure the
-    :class:`repro.lab.executor.SupervisedExecutor` supervision loop;
+    :class:`repro.lab.executor.PoolSupervisor` supervision loop;
     any mode that fans cells over workers takes them with identical
     semantics.  ``--max-retries`` defaults to None so callers can fill
     in the executor's own default without importing it here.

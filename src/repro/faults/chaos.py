@@ -175,21 +175,38 @@ def run_chaos_sweep(schemes: Optional[Sequence[str]] = None,
 
     ``schemes`` defaults to all four registered schemes, ``plans`` to
     every named preset.  Keyword arguments pass through to
-    :func:`run_chaos_case`.  ``procs`` fans the independent cells over
-    a process pool (cells are seeded and deterministic, so the outcome
-    list is identical at any worker count); with ``procs > 1`` the
-    keyword arguments must be picklable -- in particular, pass a
-    prebuilt ``loop`` only when running serially.
+    :func:`run_chaos_case`.  ``procs > 1`` fans the independent cells
+    over a :class:`~repro.lab.executor.PoolSupervisor` batch (cells are
+    seeded and deterministic, so the outcome list is identical at any
+    worker count); the keyword arguments must then be picklable -- in
+    particular, pass a prebuilt ``loop`` only when running serially.
+    A cell that raises fails the whole sweep, naming the failing cells.
     """
-    from ..lab.parallel import parallel_map
-
     schemes = list(schemes) if schemes else scheme_names()
     plans = list(plans) if plans else plan_names()
     cells = [(scheme, plan_name, seed, case_kwargs)
              for scheme in schemes
              for plan_name in plans
              for seed in seeds]
-    return parallel_map(_sweep_case, cells, procs=procs)
+    if procs <= 1:
+        return [_sweep_case(cell) for cell in cells]
+    # lazy: repro.lab imports the fault layer
+    from ..lab.executor import PoolSupervisor
+
+    keys = [f"{scheme}/{plan_name}/seed={seed}"
+            for scheme, plan_name, seed, _kwargs in cells]
+    with PoolSupervisor(_sweep_case, procs=min(procs, len(cells)),
+                        max_retries=0) as pool:
+        outcome = pool.run_batch(cells, keys=keys)
+    reasons = {failure.index: failure.describe()
+               for failure in outcome.failures}
+    failed = [reasons.get(index, f"{keys[index]}: no result")
+              for index in range(len(cells))
+              if index not in outcome.results]
+    if failed:
+        raise RuntimeError(f"chaos sweep failed {len(failed)} of "
+                           f"{len(cells)} cell(s): " + "; ".join(failed))
+    return [outcome.results[index] for index in range(len(cells))]
 
 
 def summarize(outcomes: Sequence[ChaosOutcome]) -> Dict[str, int]:

@@ -1,10 +1,9 @@
 """The supervised executor: crash-safe fan-out for sweep cells.
 
-:func:`repro.lab.parallel.parallel_map` is the right tool for clean
-grids, but it fails whole: one crashed or hung worker aborts the
-``pool.map`` and every already-finished result dies with it.  This
-module replaces it under :func:`repro.lab.runner.run_sweep` with a
-supervision loop that assumes workers *will* misbehave:
+:class:`PoolSupervisor` is the one worker pool in ``repro``: batch
+sweeps, every :class:`~repro.lab.service.SweepService` job and the
+fault-chaos sweep all run on it.  Its supervision loop assumes workers
+*will* misbehave:
 
 * **streaming** -- each worker holds exactly one in-flight cell;
   completions are delivered to the caller (``on_result``) the moment
@@ -20,16 +19,20 @@ supervision loop that assumes workers *will* misbehave:
   :class:`CellFailure` entries and the rest of the grid still
   finishes: graceful degradation instead of an opaque traceback.
 
-The supervisor never re-orders results semantically: they are keyed
-by submission index, so callers reassemble deterministic output
-regardless of completion order, worker count, or how many times a
-cell was retried.  On any exit -- success, quarantine, or an
-interrupt propagating through -- the ``finally`` block terminates
-every child, so no orphan processes outlive the sweep.
+:func:`run_serial` is the fork-free path with the same per-batch
+contract, for ``procs <= 1`` runs that need neither injected chaos
+nor a timeout.
+
+Results are keyed by submission index, so callers reassemble
+deterministic output regardless of completion order, worker count, or
+how many times a cell was retried.  Closing the pool -- after success,
+quarantine, or an interrupt propagating through -- terminates every
+child, so no orphan processes outlive the sweep.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -40,7 +43,6 @@ from multiprocessing import connection
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set)
 
 from .chaos import ChaosError, ExecutorChaos
-from .parallel import pool_context
 
 #: retries after the first attempt (so 3 attempts total by default)
 DEFAULT_MAX_RETRIES = 2
@@ -51,6 +53,13 @@ DEFAULT_BACKOFF_CAP = 2.0
 _TICK = 0.02
 #: exit code an injected worker crash dies with (recognizable in logs)
 _CHAOS_EXIT = 23
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The cheapest safe start method: fork where available."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
 
 
 def backoff_delay(attempt: int,
@@ -95,7 +104,7 @@ class CellFailure:
 
 @dataclass
 class ExecutionOutcome:
-    """What one supervised run produced, indexed by submission order."""
+    """What one batch produced, indexed by submission order."""
 
     results: Dict[int, Any] = field(default_factory=dict)
     failures: List[CellFailure] = field(default_factory=list)
@@ -111,15 +120,6 @@ class ExecutionOutcome:
     def retries(self) -> int:
         """Total extra attempts beyond each cell's first."""
         return sum(count - 1 for count in self.attempts.values())
-
-
-@dataclass
-class _Task:
-    index: int
-    key: str
-    item: Any
-    attempt: int = 0
-    not_before: float = 0.0
 
 
 class _Worker:
@@ -191,240 +191,70 @@ def _worker_main(conn, fn: Callable[[Any], Any],
             conn.send(("err", index, f"{type(err).__name__}: {err}"))
 
 
-class SupervisedExecutor:
-    """Run a function over items with supervision, retry, quarantine.
+def run_serial(fn: Callable[[Any], Any], items: Sequence[Any],
+               keys: Optional[Sequence[str]] = None, *,
+               max_retries: int = DEFAULT_MAX_RETRIES,
+               backoff_base: float = DEFAULT_BACKOFF_BASE,
+               backoff_cap: float = DEFAULT_BACKOFF_CAP,
+               validate: Optional[
+                   Callable[[Any, str], Optional[str]]] = None,
+               on_result: Optional[Callable[[int, str, Any], None]] = None,
+               on_dispatch: Optional[Callable[[int, str, int], None]] = None,
+               ) -> ExecutionOutcome:
+    """Run ``fn`` over ``items`` in this process, one after another.
 
-    ``validate(result, key)`` may return an error string to reject a
-    landed result (treated as a failed attempt -- this is how the
-    sweep runner turns corrupted or oversized records into retries).
-    ``procs <= 1`` with no chaos and no timeout runs inline -- same
-    retry and quarantine semantics, zero multiprocessing overhead --
-    matching the old serial ``parallel_map`` fast path.
+    The fork-free path for ``procs <= 1`` sweeps with no chaos and no
+    timeout (a timeout needs a worker to kill).  It keeps the pool's
+    per-batch contract -- ``on_dispatch`` as each attempt starts,
+    ``on_result`` as each cell lands, capped backoff-retry, ``validate``
+    rejections, quarantine into ``failures`` -- so a caller handles
+    both the same way.  Hooks run on the calling thread, and an
+    exception a hook raises propagates at once.
     """
-
-    def __init__(self, fn: Callable[[Any], Any], *, procs: int = 1,
-                 cell_timeout: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 chaos: Optional[ExecutorChaos] = None,
-                 validate: Optional[
-                     Callable[[Any, str], Optional[str]]] = None) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive, got "
-                             f"{cell_timeout}")
-        self.fn = fn
-        self.procs = procs
-        self.cell_timeout = cell_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.chaos = chaos
-        self.validate = validate
-
-    # -- public ----------------------------------------------------------
-
-    def run(self, items: Sequence[Any],
-            keys: Optional[Sequence[str]] = None,
-            on_result: Optional[Callable[[int, str, Any], None]] = None,
-            on_dispatch: Optional[Callable[[int, str, int], None]] = None,
-            ) -> ExecutionOutcome:
-        """Execute every item; stream completions through ``on_result``.
-
-        ``on_result(index, key, result)`` fires as each cell lands (in
-        completion order, not submission order); exceptions it raises
-        propagate after the children are torn down, so a caller-side
-        interrupt cannot orphan workers.  ``on_dispatch(index, key,
-        attempt)`` fires as each attempt *starts* (``attempt`` is
-        0-based), which is how the sweep runner journals "began paying
-        for this cell" before the worker can crash.
-        """
-        work = list(items)
-        if keys is None:
-            keys = [str(index) for index in range(len(work))]
-        elif len(keys) != len(work):
-            raise ValueError(f"{len(work)} item(s) but {len(keys)} "
-                             "key(s)")
-        outcome = ExecutionOutcome()
-        if not work:
-            return outcome
-        if (self.procs <= 1 and self.chaos is None
-                and self.cell_timeout is None):
-            self._run_inline(work, keys, on_result, on_dispatch, outcome)
-            return outcome
-        self._run_supervised(work, keys, on_result, on_dispatch, outcome)
-        return outcome
-
-    # -- serial fast path ------------------------------------------------
-
-    def _run_inline(self, work, keys, on_result, on_dispatch,
-                    outcome: ExecutionOutcome) -> None:
-        for index, (item, key) in enumerate(zip(work, keys)):
-            attempt = 0
-            while True:
-                outcome.attempts[index] = attempt + 1
-                if on_dispatch is not None:
-                    on_dispatch(index, key, attempt)
-                error = None
-                try:
-                    result = self.fn(item)
-                except Exception as err:  # noqa: BLE001 - becomes retry
-                    error = ("error", f"{type(err).__name__}: {err}")
-                else:
-                    detail = (self.validate(result, key)
-                              if self.validate else None)
-                    if detail is not None:
-                        error = ("bad-result", detail)
-                if error is None:
-                    outcome.results[index] = result
-                    if on_result is not None:
-                        on_result(index, key, result)
-                    break
-                if attempt >= self.max_retries:
-                    outcome.failures.append(CellFailure(
-                        index=index, key=key, attempts=attempt + 1,
-                        reason=error[0], detail=error[1]))
-                    break
-                attempt += 1
-                time.sleep(backoff_delay(attempt, self.backoff_base,
-                                         self.backoff_cap))
-
-    # -- supervised pool -------------------------------------------------
-
-    def _run_supervised(self, work, keys, on_result, on_dispatch,
-                        outcome: ExecutionOutcome) -> None:
-        ctx = pool_context()
-        pending: List[_Task] = [
-            _Task(index=index, key=key, item=item)
-            for index, (item, key) in enumerate(zip(work, keys))]
-        workers: List[_Worker] = []
-        try:
-            for _ in range(max(1, min(self.procs, len(pending)))):
-                workers.append(_Worker(ctx, self.fn, self.chaos))
-            while pending or any(w.task is not None for w in workers):
-                now = time.monotonic()
-                self._dispatch(workers, pending, outcome, ctx, now,
-                               on_dispatch)
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    # nothing in flight: the head of the queue is
-                    # backing off; sleep just past its eligibility
-                    wake = min(task.not_before for task in pending)
-                    time.sleep(max(0.0, min(wake - now, self.backoff_cap))
-                               or _TICK)
-                    continue
-                ready = connection.wait([w.conn for w in busy],
-                                        timeout=_TICK)
-                for worker in busy:
-                    if worker.conn in ready:
-                        self._collect(worker, workers, pending, outcome,
-                                      ctx, on_result)
-                self._reap_timeouts(workers, pending, outcome, ctx)
-        finally:
-            for worker in workers:
-                worker.kill()
-
-    def _spawn_replacement(self, workers: List[_Worker], dead: _Worker,
-                           outcome: ExecutionOutcome, ctx) -> None:
-        dead.kill()
-        workers[workers.index(dead)] = _Worker(ctx, self.fn, self.chaos)
-        outcome.respawns += 1
-
-    def _dispatch(self, workers, pending: List[_Task],
-                  outcome: ExecutionOutcome, ctx, now: float,
-                  on_dispatch=None) -> None:
-        for worker in workers:
-            if worker.task is not None:
-                continue
-            eligible = next((task for task in pending
-                             if task.not_before <= now), None)
-            if eligible is None:
-                return
-            pending.remove(eligible)
-            outcome.attempts[eligible.index] = eligible.attempt + 1
-            try:
-                worker.conn.send((eligible.index, eligible.key,
-                                  eligible.attempt, eligible.item))
-            except (BrokenPipeError, OSError):
-                # the idle worker died between cells: replace it and
-                # put the cell back without charging its budget
-                pending.insert(0, eligible)
-                self._spawn_replacement(workers, worker, outcome, ctx)
-                return
+    work = list(items)
+    keys = _batch_keys(work, keys)
+    outcome = ExecutionOutcome()
+    for index, (item, key) in enumerate(zip(work, keys)):
+        attempt = 0
+        while True:
+            outcome.attempts[index] = attempt + 1
             if on_dispatch is not None:
-                on_dispatch(eligible.index, eligible.key, eligible.attempt)
-            worker.task = eligible
-            worker.deadline = (now + self.cell_timeout
-                               if self.cell_timeout is not None else None)
-
-    def _collect(self, worker: _Worker, workers, pending, outcome,
-                 ctx, on_result) -> None:
-        """Drain one readable worker pipe: a result, an error, or EOF."""
-        task = worker.task
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
-            # the worker died mid-cell: pipe EOF first, exitcode for
-            # the report detail; respawn and charge the attempt
-            worker.process.join(0.5)
-            code = worker.process.exitcode
-            self._spawn_replacement(workers, worker, outcome, ctx)
-            self._retry_or_quarantine(
-                task, pending, outcome, reason="worker-crash",
-                detail=f"worker exited with code {code}")
-            return
-        worker.task = None
-        worker.deadline = None
-        status, index, payload = message
-        if index != task.index:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"worker answered cell {index}, "
-                               f"expected {task.index}")
-        if status == "err":
-            self._retry_or_quarantine(task, pending, outcome,
-                                      reason="error", detail=payload)
-            return
-        detail = (self.validate(payload, task.key)
-                  if self.validate else None)
-        if detail is not None:
-            self._retry_or_quarantine(task, pending, outcome,
-                                      reason="bad-result", detail=detail)
-            return
-        outcome.results[task.index] = payload
-        if on_result is not None:
-            on_result(task.index, task.key, payload)
-
-    def _reap_timeouts(self, workers, pending, outcome, ctx) -> None:
-        if self.cell_timeout is None:
-            return
-        now = time.monotonic()
-        for worker in list(workers):
-            if worker.task is None or worker.deadline is None:
-                continue
-            if now < worker.deadline:
-                continue
-            task = worker.task
-            self._spawn_replacement(workers, worker, outcome, ctx)
-            self._retry_or_quarantine(
-                task, pending, outcome, reason="timeout",
-                detail=f"killed after {self.cell_timeout:g}s wall clock")
-
-    def _retry_or_quarantine(self, task: _Task, pending: List[_Task],
-                             outcome: ExecutionOutcome, *, reason: str,
-                             detail: str) -> None:
-        if task.attempt >= self.max_retries:
-            outcome.failures.append(CellFailure(
-                index=task.index, key=task.key,
-                attempts=task.attempt + 1, reason=reason, detail=detail))
-            return
-        task.attempt += 1
-        task.not_before = time.monotonic() + backoff_delay(
-            task.attempt, self.backoff_base, self.backoff_cap)
-        pending.append(task)
+                on_dispatch(index, key, attempt)
+            error = None
+            try:
+                result = fn(item)
+            except Exception as err:  # noqa: BLE001 - becomes retry
+                error = ("error", f"{type(err).__name__}: {err}")
+            else:
+                detail = validate(result, key) if validate else None
+                if detail is not None:
+                    error = ("bad-result", detail)
+            if error is None:
+                outcome.results[index] = result
+                if on_result is not None:
+                    on_result(index, key, result)
+                break
+            if attempt >= max_retries:
+                outcome.failures.append(CellFailure(
+                    index=index, key=key, attempts=attempt + 1,
+                    reason=error[0], detail=error[1]))
+                break
+            attempt += 1
+            time.sleep(backoff_delay(attempt, backoff_base, backoff_cap))
+    return outcome
 
 
-# -- shared persistent pool ----------------------------------------------
+def _batch_keys(work: List[Any],
+                keys: Optional[Sequence[str]]) -> Sequence[str]:
+    """The per-item keys of one batch: given, or the indices as text."""
+    if keys is None:
+        return [str(index) for index in range(len(work))]
+    if len(keys) != len(work):
+        raise ValueError(f"{len(work)} item(s) but {len(keys)} key(s)")
+    return keys
+
+
+# -- the worker pool -----------------------------------------------------
 
 
 class _PoolBatch:
@@ -446,17 +276,24 @@ class _PoolBatch:
 
 
 @dataclass
-class _PoolTask(_Task):
-    batch: Optional[_PoolBatch] = None
+class _Task:
+    """One cell of one batch, as queued and dispatched."""
+
+    index: int
+    key: str
+    item: Any
+    batch: _PoolBatch
+    attempt: int = 0
+    not_before: float = 0.0
 
 
 class PoolSupervisor:
-    """One persistent supervised worker pool shared by concurrent jobs.
+    """One supervised worker pool, shared by concurrent batches.
 
-    The multi-tenant sibling of :class:`SupervisedExecutor`: the same
-    supervision contract (streamed completions, per-cell timeout kill,
-    crash respawn, capped backoff-retry, quarantine), but the workers
-    outlive any single batch and serve every caller:
+    The supervision contract of the module docstring (streamed
+    completions, per-cell timeout kill, crash respawn, capped
+    backoff-retry, quarantine), with workers that outlive any single
+    batch and serve every caller:
 
     * **dynamic submission** -- :meth:`run_batch` may be called
       concurrently from many job threads; each call blocks until *its*
@@ -497,7 +334,7 @@ class PoolSupervisor:
         self._lock = threading.Lock()
         #: group id -> FIFO of queued tasks; dict order is the
         #: round-robin rotation (served group moves to the back)
-        self._queues: "OrderedDict[str, List[_PoolTask]]" = OrderedDict()
+        self._queues: "OrderedDict[str, List[_Task]]" = OrderedDict()
         self._batches: Set[_PoolBatch] = set()
         self._wake = threading.Event()
         self._stopping = False
@@ -543,21 +380,19 @@ class PoolSupervisor:
                   ) -> ExecutionOutcome:
         """Run one batch through the shared pool; blocks until settled.
 
-        The per-batch contract matches :meth:`SupervisedExecutor.run`:
         ``on_result(index, key, result)`` streams completions (indexed
-        by this batch's submission order), ``on_dispatch(index, key,
-        attempt)`` fires as attempts start, and an exception either
-        hook raises cancels the rest of the batch and re-raises here,
-        in the submitting thread.  ``group`` names the fairness lane
-        (one per job); concurrent batches in different groups
-        interleave round-robin.
+        by this batch's submission order) and ``on_dispatch(index, key,
+        attempt)`` fires as attempts start; both run on the supervision
+        thread.  An exception either hook raises cancels the rest of
+        the batch and re-raises here, in the submitting thread, and so
+        does an interrupt of the wait itself (Ctrl-C): no hook fires
+        for a batch whose caller has stopped waiting, except one
+        already running.  ``group`` names the fairness lane (one per
+        job); concurrent batches in different groups interleave
+        round-robin.
         """
         work = list(items)
-        if keys is None:
-            keys = [str(index) for index in range(len(work))]
-        elif len(keys) != len(work):
-            raise ValueError(f"{len(work)} item(s) but {len(keys)} "
-                             "key(s)")
+        keys = _batch_keys(work, keys)
         batch = _PoolBatch(group, len(work), on_result, on_dispatch)
         if not work:
             return batch.outcome
@@ -567,13 +402,21 @@ class PoolSupervisor:
                 return batch.outcome
             lane = self._queues.setdefault(group, [])
             for index, (item, key) in enumerate(zip(work, keys)):
-                lane.append(_PoolTask(index=index, key=key, item=item,
-                                      batch=batch))
+                lane.append(_Task(index=index, key=key, item=item,
+                                  batch=batch))
             self._batches.add(batch)
         self._wake.set()
-        batch.done.wait()
-        with self._lock:
-            self._batches.discard(batch)
+        try:
+            # timed, so a signal that lands on another thread (Ctrl-C)
+            # is still raised here within a tenth of a second
+            while not batch.done.wait(0.1):
+                pass
+        except BaseException:
+            self._cancel_batch(batch)
+            raise
+        finally:
+            with self._lock:
+                self._batches.discard(batch)
         if batch.error is not None:
             raise batch.error
         return batch.outcome
@@ -601,9 +444,11 @@ class PoolSupervisor:
 
     def _run(self) -> None:
         ctx = pool_context()
-        workers = [_Worker(ctx, self.fn, self.chaos)
-                   for _ in range(self.procs)]
+        workers: List[_Worker] = []
+        error: Optional[BaseException] = None
         try:
+            workers.extend(_Worker(ctx, self.fn, self.chaos)
+                           for _ in range(self.procs))
             while not self._stopping:
                 now = time.monotonic()
                 self._dispatch(workers, ctx, now)
@@ -617,15 +462,22 @@ class PoolSupervisor:
                     if worker.conn in ready:
                         self._collect(worker, workers, ctx)
                 self._reap_timeouts(workers, ctx)
+        except BaseException as err:  # noqa: BLE001 - forwarded
+            error = err
         finally:
             for worker in workers:
                 worker.kill()
             # unblock every submitter: whatever had not settled when
-            # the pool died is reported cancelled, never hung
+            # the pool died is reported cancelled, never hung, and a
+            # supervision error is re-raised in each submitting thread;
+            # later submissions are refused
             with self._lock:
+                self._stopping = True
                 self._queues.clear()
                 batches = list(self._batches)
             for batch in batches:
+                if batch.error is None:
+                    batch.error = error
                 batch.outcome.cancelled = True
                 batch.done.set()
 
@@ -642,7 +494,7 @@ class PoolSupervisor:
         self._wake.wait(delay)
         self._wake.clear()
 
-    def _next_task(self, now: float) -> Optional[_PoolTask]:
+    def _next_task(self, now: float) -> Optional[_Task]:
         """Pop the next eligible task, round-robin across groups."""
         with self._lock:
             for group in list(self._queues):
@@ -743,7 +595,6 @@ class PoolSupervisor:
     def _collect(self, worker: _Worker, workers: List[_Worker],
                  ctx) -> None:
         task = worker.task
-        assert isinstance(task, _PoolTask) and task.batch is not None
         batch = task.batch
         try:
             message = worker.conn.recv()
@@ -787,13 +638,12 @@ class PoolSupervisor:
             if now < worker.deadline:
                 continue
             task = worker.task
-            assert isinstance(task, _PoolTask)
             self._spawn_replacement(workers, worker, task.batch, ctx)
             self._settle_failure(
                 task, reason="timeout",
                 detail=f"killed after {self.cell_timeout:g}s wall clock")
 
-    def _settle_failure(self, task: _PoolTask, *, reason: str,
+    def _settle_failure(self, task: _Task, *, reason: str,
                         detail: str) -> None:
         batch = task.batch
         if batch.cancelled:

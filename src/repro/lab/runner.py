@@ -35,12 +35,10 @@ The contract, identical in both modes:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pathlib
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -56,10 +54,9 @@ from ..sim import (DeadlockError, Machine, MachineConfig,
 from .apps import build_app
 from .cache import DEFAULT_CACHE_DIR, ResultCache, SweepJournal
 from .chaos import ExecutorChaos
-from .events import (CellDone, CellFailed, CellShared, CellStarted,
-                     SweepEvent, adapt_progress_callback)
+from .events import CellDone, CellFailed, CellShared, CellStarted, SweepEvent
 from .executor import (DEFAULT_MAX_RETRIES, CellFailure, PoolSupervisor,
-                       SupervisedExecutor, backoff_delay)
+                       backoff_delay, run_serial)
 from .record import canonical_dumps, make_record, merge_records
 from .spec import AUTO_SCHEME, SweepCell, SweepSpec
 from .store import CellClaims, ClaimPolicy, reap_orphan_tmps
@@ -339,12 +336,6 @@ class SweepOptions:
     on_event: Optional[Callable[[SweepEvent], None]] = None
 
 
-#: the deprecated run_sweep keyword spellings SweepOptions replaced
-_LEGACY_SWEEP_KWARGS = frozenset(
-    f.name for f in dataclasses.fields(SweepOptions)
-    if f.name != "on_event") | {"on_progress"}
-
-
 def _validate_worker_record(result: Any, key: str) -> Optional[str]:
     """Reject malformed, mis-keyed, or oversized worker results.
 
@@ -384,8 +375,10 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
         ``options.on_event``);
     ``supervisor``
         a running :class:`~repro.lab.executor.PoolSupervisor` shared
-        with other jobs (None: a private per-batch
-        :class:`SupervisedExecutor`, with the serial inline fast path);
+        with other jobs (None: each batch of misses gets a private pool
+        of ``min(options.procs, cells)`` workers, or runs in this
+        process through :func:`~repro.lab.executor.run_serial` when
+        ``procs <= 1`` and there is no chaos and no timeout);
     ``claims``
         a shared :class:`CellClaims` instance (None: one is built and
         closed here when single-flight applies) -- sharing one instance
@@ -541,15 +534,22 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
             outcome = supervisor.run_batch(
                 items, keys=keys, group=group,
                 on_result=on_landed, on_dispatch=wire_dispatch)
+        elif (options.procs <= 1 and options.chaos is None
+              and options.cell_timeout is None):
+            outcome = run_serial(
+                _worker, items, keys, max_retries=options.max_retries,
+                validate=_validate_worker_record, on_result=on_landed,
+                on_dispatch=wire_dispatch)
         else:
-            executor = SupervisedExecutor(
-                _worker, procs=options.procs,
-                cell_timeout=options.cell_timeout,
-                max_retries=options.max_retries, chaos=options.chaos,
-                validate=_validate_worker_record)
-            outcome = executor.run(items, keys=keys,
-                                   on_result=on_landed,
-                                   on_dispatch=wire_dispatch)
+            # a private pool per batch of misses: a warm run forks nothing
+            with PoolSupervisor(
+                    _worker, procs=min(options.procs, len(batch)),
+                    cell_timeout=options.cell_timeout,
+                    max_retries=options.max_retries, chaos=options.chaos,
+                    validate=_validate_worker_record) as pool:
+                outcome = pool.run_batch(items, keys=keys,
+                                         on_result=on_landed,
+                                         on_dispatch=wire_dispatch)
         if outcome.cancelled:
             raise JobCancelled(
                 f"job {group or name!r} cancelled mid-batch; landed "
@@ -695,7 +695,7 @@ def execute_grid(name: str, cells: Sequence[SweepCell],
 
 def run_sweep(spec: Union[SweepSpec, Sequence[SweepCell]],
               options: Optional[SweepOptions] = None,
-              **legacy: Any) -> SweepReport:
+              **unexpected: Any) -> SweepReport:
     """Run a sweep synchronously: the batch front end of the service.
 
     The sweep is described by a single :class:`SweepOptions`::
@@ -706,37 +706,15 @@ def run_sweep(spec: Union[SweepSpec, Sequence[SweepCell]],
     :class:`~repro.lab.service.SweepService` job -- batch and server
     modes share one code path (:func:`execute_grid`), so everything
     documented there (supervision, retry, quarantine, single-flight,
-    resume, byte-identical merged stores) applies verbatim.
-
-    The pre-options keyword arguments (``procs``, ``cache_dir``,
-    ``cache``, ``json_path``, ``preflight``, ``cell_timeout``,
-    ``max_retries``, ``chaos``, ``resume``, ``single_flight``,
-    ``claim_policy``, ``keep_journal``, ``on_progress``) still work but
-    are deprecated: they emit a :class:`DeprecationWarning` and fold
-    into an equivalent options value, so both spellings return
-    identical reports.  The dict-style ``on_progress(key, record)``
-    hook is additionally adapted onto the typed event stream via
-    :func:`repro.lab.events.adapt_progress_callback`.
+    resume, byte-identical merged stores) applies verbatim.  Any other
+    keyword (the removed loose spelling ``procs=...``,
+    ``on_progress=...``) is a :class:`TypeError` pointing at
+    ``options=``.
     """
-    if legacy:
-        unknown = set(legacy) - _LEGACY_SWEEP_KWARGS
-        if unknown:
-            raise TypeError(f"run_sweep() got unexpected keyword "
-                            f"arguments {sorted(unknown)}")
-        if options is not None:
-            raise TypeError(
-                "pass either options= or the deprecated individual "
-                "kwargs, not both")
-        warnings.warn(
-            "run_sweep(spec, procs=..., cache_dir=..., ...) is "
-            "deprecated; pass a single SweepOptions: "
-            "run_sweep(spec, options=SweepOptions(...))",
-            DeprecationWarning, stacklevel=2)
-        on_progress = legacy.pop("on_progress", None)
-        options = SweepOptions(**legacy)
-        if on_progress is not None:
-            options = dataclasses.replace(
-                options, on_event=adapt_progress_callback(on_progress))
+    if unexpected:
+        raise TypeError(f"run_sweep() got unexpected keyword arguments "
+                        f"{sorted(unexpected)}; pass every sweep knob "
+                        f"in options=SweepOptions(...)")
     options = options or SweepOptions()
     # lazy: the service module imports this one's grid core
     from .service import SweepService

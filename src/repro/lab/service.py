@@ -229,11 +229,13 @@ class SweepService:
     """The long-running sweep server (see the module docstring).
 
     ``inline=True`` builds the degenerate one-shot service
-    :func:`~repro.lab.runner.run_sweep` wraps: no pool, no shared
-    claims, no threads -- ``submit`` executes the grid synchronously on
-    the caller's thread with exactly the semantics the batch API always
-    had (KeyboardInterrupt propagation included), while still flowing
-    through the same submit/emit/job-lifecycle code as the server.
+    :func:`~repro.lab.runner.run_sweep` wraps: no shared pool, no
+    shared claims, no job threads -- ``submit`` executes the grid
+    synchronously on the caller's thread (each batch of misses gets
+    its own short-lived pool, or none at ``procs <= 1``) with exactly
+    the semantics the batch API always had (KeyboardInterrupt
+    propagation included), while still flowing through the same
+    submit/emit/job-lifecycle code as the server.
     """
 
     def __init__(self, options: Optional[SweepOptions] = None, *,

@@ -10,14 +10,18 @@ interrupted mid-flight resumes recomputing zero completed cells.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import signal
+import threading
+import time
 
 import pytest
 
 from repro.__main__ import main
 from repro.lab import (ExecutionOutcome, ExecutorChaos, IncompleteSweepError,
-                       SupervisedExecutor, SweepOptions, SweepSpec, run_sweep)
+                       PoolSupervisor, SweepOptions, SweepSpec, run_sweep)
 from repro.lab import runner as runner_module
-from repro.lab.executor import backoff_delay
+from repro.lab.executor import backoff_delay, run_serial
 
 
 def grid_spec():
@@ -100,9 +104,8 @@ def _fail_on_three(item):
 
 
 def test_inline_path_retries_and_quarantines():
-    executor = SupervisedExecutor(_fail_on_three, procs=1, max_retries=1,
-                                  backoff_base=0.001)
-    outcome = executor.run([1, 2, 3, 4])
+    outcome = run_serial(_fail_on_three, [1, 2, 3, 4], max_retries=1,
+                         backoff_base=0.001)
     assert outcome.results == {0: 2, 1: 4, 3: 8}
     assert [f.index for f in outcome.failures] == [2]
     assert outcome.failures[0].reason == "error"
@@ -114,11 +117,11 @@ def test_inline_path_retries_and_quarantines():
 def test_supervised_streams_results_with_index_tags():
     chaos = ExecutorChaos(seed=3, flaky_prob=1.0)
     landed = []
-    executor = SupervisedExecutor(_double, procs=2, chaos=chaos,
-                                  backoff_base=0.001)
-    outcome = executor.run(list(range(6)),
-                           keys=[f"cell-{i}" for i in range(6)],
-                           on_result=lambda i, key, r: landed.append((i, r)))
+    with PoolSupervisor(_double, procs=2, chaos=chaos,
+                        backoff_base=0.001) as pool:
+        outcome = pool.run_batch(
+            list(range(6)), keys=[f"cell-{i}" for i in range(6)],
+            on_result=lambda i, key, r: landed.append((i, r)))
     assert outcome.results == {i: i * 2 for i in range(6)}
     assert not outcome.failures
     # every cell failed its first (injected-flaky) attempt
@@ -126,14 +129,70 @@ def test_supervised_streams_results_with_index_tags():
     assert sorted(landed) == [(i, i * 2) for i in range(6)]
 
 
-def test_validate_hook_rejects_bad_results():
-    executor = SupervisedExecutor(
-        _double, procs=1, max_retries=0,
-        validate=lambda result, key: ("too big" if result > 4 else None))
-    outcome = executor.run([1, 2, 3])
+def _too_big(result, key):
+    return "too big" if result > 4 else None
+
+
+def _assert_too_big_rejected(outcome):
     assert outcome.results == {0: 2, 1: 4}
     assert outcome.failures[0].reason == "bad-result"
     assert outcome.failures[0].detail == "too big"
+
+
+def test_validate_hook_rejects_bad_results():
+    with PoolSupervisor(_double, procs=2, max_retries=0,
+                        validate=_too_big) as pool:
+        _assert_too_big_rejected(pool.run_batch([1, 2, 3]))
+
+
+def test_serial_validate_hook_rejects_bad_results():
+    _assert_too_big_rejected(run_serial(_double, [1, 2, 3], max_retries=0,
+                                        validate=_too_big))
+
+
+def _sleep_then_echo(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def test_interrupted_run_batch_cancels_its_cells():
+    """Ctrl-C in the waiting thread: the live pool drops the batch."""
+    landed = []
+    with PoolSupervisor(_sleep_then_echo, procs=1) as pool:
+        threading.Timer(0.2, signal.raise_signal, (signal.SIGINT,)).start()
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_batch([0.6, 0.0, 0.0],
+                           on_result=lambda i, key, r: landed.append(i))
+        # the in-flight cell lands at 0.6 s and the queued ones would
+        # follow at once; the pool is still up but must deliver nothing
+        time.sleep(0.8)
+    assert landed == []
+
+
+def _explode(result, key):
+    raise RuntimeError(f"supervisor broke on {key}")
+
+
+def test_supervisor_failure_reaches_the_caller():
+    """An exception on the supervision thread re-raises in run_batch."""
+    pool = PoolSupervisor(_double, procs=2, validate=_explode).start()
+    try:
+        with pytest.raises(RuntimeError, match="supervisor broke on"):
+            pool.run_batch([1, 2, 3])
+        # the dead pool refuses new work instead of hanging on it
+        assert pool.run_batch([4]).cancelled
+    finally:
+        pool.close()
+    assert not multiprocessing.active_children()
+
+
+def test_batch_sweep_surfaces_supervisor_failure(tmp_path, monkeypatch):
+    """run_sweep at procs=2 raises the real error, not JobCancelled."""
+    monkeypatch.setattr(runner_module, "_validate_worker_record", _explode)
+    with pytest.raises(RuntimeError, match="supervisor broke on"):
+        run_sweep(grid_spec(), options=SweepOptions(
+            procs=2, cache_dir=tmp_path / "cache"))
+    assert not multiprocessing.active_children()
 
 
 # -- byte-identity under orchestration faults -------------------------------
@@ -218,6 +277,7 @@ def test_quarantine_keeps_rest_of_grid_and_resume_completes(tmp_path,
     chaos = ExecutorChaos(seed=1, always_fail=("statement-oriented",))
     degraded = run_sweep(grid_spec(), options=SweepOptions(procs=2, cache_dir=cache_dir,
                          json_path=path, chaos=chaos, max_retries=1))
+    assert not multiprocessing.active_children()
     assert degraded.degraded
     assert len(degraded.records) == 2
     assert len(degraded.failed) == 2
@@ -236,6 +296,7 @@ def test_quarantine_keeps_rest_of_grid_and_resume_completes(tmp_path,
     # fault-free bytes
     resumed = run_sweep(grid_spec(), options=SweepOptions(procs=2, cache_dir=cache_dir,
                         json_path=path, resume=True))
+    assert not multiprocessing.active_children()
     assert resumed.hits == 2 and resumed.misses == 2
     assert "resumed" in resumed.notes
     assert not resumed.failed
@@ -272,6 +333,44 @@ def test_interrupt_mid_sweep_preserves_landed_work(tmp_path, clean_bytes):
     assert not journal_files[0].exists()
 
 
+def test_sigint_while_waiting_on_the_pool_stops_the_batch(tmp_path,
+                                                          clean_bytes):
+    """Ctrl-C at procs=2: no cell lands after it, no worker survives it."""
+    cache_dir = tmp_path / "cache"
+    # cells 0 and 2 land at once; 1 and 3 hang, keeping the batch live
+    chaos = ExecutorChaos(seed=11, hang_prob=0.5, hang_seconds=60.0)
+    assert ([chaos.draw(cell.key, 0) for cell in grid_spec().cells()]
+            == [None, "hang", None, "hang"])
+    done, late = [], []
+    surfaced = threading.Event()
+
+    def interrupt_after_two(event):
+        if event.kind != "cell-done":
+            return
+        if surfaced.is_set():
+            late.append(event.key)
+        done.append(event.key)
+        if len(done) == 2:
+            threading.Timer(0.2, signal.raise_signal,
+                            (signal.SIGINT,)).start()
+
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(grid_spec(), options=SweepOptions(
+            procs=2, cache_dir=cache_dir, chaos=chaos,
+            on_event=interrupt_after_two))
+    surfaced.set()
+    time.sleep(0.3)
+    assert late == []
+    assert len(done) == 2
+    assert not multiprocessing.active_children()
+
+    path = tmp_path / "resumed.json"
+    resumed = run_sweep(grid_spec(), options=SweepOptions(
+        procs=2, cache_dir=cache_dir, json_path=path, resume=True))
+    assert resumed.hits == 2 and resumed.misses == 2
+    assert path.read_bytes() == clean_bytes
+
+
 def test_resume_requires_cache(tmp_path):
     with pytest.raises(ValueError, match="resume"):
         run_sweep(grid_spec(), options=SweepOptions(cache_dir=None, resume=True))
@@ -283,9 +382,8 @@ def test_resume_requires_cache(tmp_path):
 def test_lost_cells_raise_typed_error_naming_keys(tmp_path, monkeypatch):
     """A record-less, failure-less cell must fail loudly, never misalign."""
     monkeypatch.setattr(
-        runner_module.SupervisedExecutor, "run",
-        lambda self, items, keys=None, on_result=None, on_dispatch=None:
-        ExecutionOutcome())
+        runner_module, "run_serial",
+        lambda fn, items, keys=None, **hooks: ExecutionOutcome())
     with pytest.raises(IncompleteSweepError) as excinfo:
         run_sweep(grid_spec(), options=SweepOptions(procs=1,
                   cache_dir=tmp_path / "cache"))
