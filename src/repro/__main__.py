@@ -291,8 +291,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         "witness iterations), detect unsatisfiable waits, drop "
         "provably redundant sync arcs (or run the cost-model-guided "
         "placement optimizer), and cross-check the static verdict "
-        "with a dynamic race sanitizer (order-maintenance or "
-        "vector-clock oracle).")
+        "with a dynamic vector-clock race sanitizer.")
     add_common_options(parser)
     parser.add_argument("--app", default=None,
                         help="registered application name "
@@ -314,14 +313,6 @@ def build_analyze_parser() -> argparse.ArgumentParser:
                              "config, fold factor, arc subset); prints "
                              "the audit trail and validates the winner "
                              "by byte-identical replay")
-    parser.add_argument("--oracle", default="om", choices=["om", "vc"],
-                        help="dynamic race oracle: DePa order "
-                             "maintenance (om, default) or the "
-                             "reference vector clocks (vc)")
-    parser.add_argument("--om", action="store_true",
-                        help="with --gate: also run every statically "
-                             "clean pair through a sanitized dynamic "
-                             "execution under the chosen --oracle")
     parser.add_argument("--window", type=int, default=None,
                         help="override the unrolled iteration window")
     parser.add_argument("--processors", type=int, default=8,
@@ -336,8 +327,8 @@ def build_analyze_parser() -> argparse.ArgumentParser:
                              "(repeatable; defaults come from the "
                              "analysis gate sizes)")
     parser.add_argument("--static-only", action="store_true",
-                        help="skip the dynamic vector-clock "
-                             "cross-check")
+                        help="skip the dynamic race-sanitizer "
+                             "cross-check (pair mode and --gate)")
     return parser
 
 
@@ -357,14 +348,14 @@ def _analyze_mode(argv) -> int:
     if args.gate:
         result = gate(apps=[args.app] if args.app else None,
                       schemes=[args.scheme] if args.scheme else None,
-                      dynamic_oracle=args.oracle if args.om else None)
+                      dynamic=not args.static_only)
         for line in result.summary_lines():
             print(line)
         print(f"\nanalysis gate: {len(result.reports)} pair(s), "
               f"{len(result.failing)} failing, "
               f"{len(result.skipped)} skipped"
-              + (f", {len(result.dynamic)} dynamically cross-checked "
-                 f"({args.oracle})" if args.om else ""))
+              + ("" if args.static_only else
+                 f", {len(result.dynamic)} dynamically cross-checked"))
         if args.json is not None:
             args.json.write_text(json.dumps({
                 "schema_version": ANALYZE_SCHEMA_VERSION,
@@ -417,10 +408,10 @@ def _analyze_mode(argv) -> int:
                   f"{replay['makespan_before']} -> "
                   f"{replay['makespan_after']}")
 
+    opt = None
     if args.optimize and not report.requires_serial:
         opt = optimize(loop, scheme, graph=graph, app=args.app,
-                       window=args.window, processors=args.processors,
-                       oracle=args.oracle)
+                       window=args.window, processors=args.processors)
         print(f"\noptimizer: {opt.summary()}")
         for trial in opt.audit:
             label = trial.arc or trial.action
@@ -441,16 +432,11 @@ def _analyze_mode(argv) -> int:
               f"{replay['sync_ops_after']}, makespan "
               f"{replay['makespan_before']} -> "
               f"{replay['makespan_after']}")
-        if args.json is not None:
-            opt.write_json(args.json)
-            print(f"wrote optimization report to {args.json}")
-            return 1 if failed else 0
 
     if not args.static_only and not report.requires_serial:
         verdict = dynamic_check(scheme.instrument(loop, graph),
                                 processors=args.processors,
-                                schedule=args.schedule,
-                                oracle=args.oracle)
+                                schedule=args.schedule)
         if failed:
             # a single schedule staying clean does not contradict a
             # static finding; a dynamic kill corroborates it
@@ -463,7 +449,10 @@ def _analyze_mode(argv) -> int:
         print(f"\ndynamic cross-check ({args.processors} processors, "
               f"{args.schedule} scheduling): {verdict.verdict} -- {note}")
 
-    if args.json is not None:
+    if args.json is not None and opt is not None:
+        opt.write_json(args.json)
+        print(f"wrote optimization report to {args.json}")
+    elif args.json is not None:
         report.write_json(args.json)
         print(f"wrote findings to {args.json}")
     return 1 if failed else 0

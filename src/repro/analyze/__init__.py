@@ -10,10 +10,8 @@ iterations, unsatisfiable waits become :class:`DeadlockFinding`\\ s, and
 a Midkiff/Padua-style transitive reduction drops sync arcs already
 implied by the rest (:mod:`repro.analyze.eliminate`).  A dynamic
 sanitizer (:mod:`repro.analyze.sanitizer`) cross-checks the static
-verdict on real engine traces through either of two oracles: the
-DePa-style order-maintenance checker (:mod:`repro.analyze.om`, O(1)
-per race query, the one that scales to counters-mode traces) or the
-original vector clocks kept for differential testing.  On top of both,
+verdict on real engine traces -- full recorded traces or the engine's
+counters-mode sync tap -- with vector clocks.  On top of both,
 :mod:`repro.analyze.optimize` searches (scheme configuration, fold
 factor, arc subset) with cost-model scoring, the verifier as admission
 gate and the sanitizer as dynamic gate, emitting schema-versioned
@@ -27,7 +25,6 @@ from .eliminate import (EliminationResult, arc_gate, eliminate,
                         estimate_cost, placement_arcs,
                         validate_elimination)
 from .mutate import Mutant, apply_mutant, enumerate_mutants, kill_mutant
-from .om import OrderMaintenance
 from .sanitizer import (DynamicVerdict, check_trace, dynamic_check,
                         event_stream)
 from .optimize import (OPTIMIZE_SCHEMA_VERSION, OptimizationReport,
@@ -39,8 +36,8 @@ __all__ = [
     "DeadlockFinding", "RedundantArc", "AnalysisError", "verify",
     "verify_instrumented", "EliminationResult", "arc_gate", "eliminate",
     "estimate_cost", "placement_arcs", "validate_elimination", "Mutant",
-    "apply_mutant", "enumerate_mutants", "kill_mutant",
-    "OrderMaintenance", "DynamicVerdict", "check_trace", "dynamic_check",
-    "event_stream", "OPTIMIZE_SCHEMA_VERSION", "OptimizationReport",
-    "optimize", "validate_optimization", "GateResult", "gate",
+    "apply_mutant", "enumerate_mutants", "kill_mutant", "DynamicVerdict",
+    "check_trace", "dynamic_check", "event_stream",
+    "OPTIMIZE_SCHEMA_VERSION", "OptimizationReport", "optimize",
+    "validate_optimization", "GateResult", "gate",
 ]

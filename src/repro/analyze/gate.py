@@ -82,14 +82,15 @@ class GateResult:
 
 def gate(apps: Optional[List[str]] = None,
          schemes: Optional[List[str]] = None, *,
-         dynamic_oracle: Optional[str] = None) -> GateResult:
+         dynamic: bool = False) -> GateResult:
     """Statically verify every (app, scheme) placement we ship.
 
-    With ``dynamic_oracle`` ("om" or "vc"), every statically-clean pair
-    is additionally executed on a sanitized maximally-parallel schedule
-    and race-checked through that oracle; the verdicts land in
-    ``GateResult.dynamic`` and a non-clean one fails the gate.  Cheap
-    enough to run everywhere only since the order-maintenance oracle.
+    With ``dynamic``, every statically-clean pair is additionally
+    executed on a sanitized maximally-parallel schedule and
+    race-checked; the verdicts land in ``GateResult.dynamic`` and a
+    non-clean one fails the gate.  The dynamic pass over every shipped
+    pair takes well under a second, so the CLI runs it by default; the
+    sweep preflight stays static-only.
     """
     result = GateResult()
     for app in apps or sorted(APP_BUILDERS):
@@ -106,10 +107,8 @@ def gate(apps: Optional[List[str]] = None,
                 result.skipped[key] = str(err)
                 continue
             result.reports[key] = report
-            if dynamic_oracle is not None and report.clean:
+            if dynamic and report.clean:
                 from .sanitizer import dynamic_check
-                instrumented = scheme.instrument(loop, graph)
-                verdict = dynamic_check(instrumented,
-                                        oracle=dynamic_oracle)
+                verdict = dynamic_check(scheme.instrument(loop, graph))
                 result.dynamic[key] = verdict.verdict
     return result

@@ -326,8 +326,7 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
              app: str = "?",
              window: Optional[int] = None,
              processors: int = 8,
-             dynamic_gate: bool = True,
-             oracle: str = "om") -> OptimizationReport:
+             dynamic_gate: bool = True) -> OptimizationReport:
     """Search (configuration, fold, arc subset) for the best placement.
 
     The unoptimized input placement is always a member of the search
@@ -335,7 +334,7 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
     objective; ``baseline`` records what farthest-first elimination
     would have done instead.  With ``dynamic_gate`` the winning
     configuration must also survive a sanitized maximally-parallel run
-    through the ``oracle`` race checker before it is admitted.
+    through the race sanitizer before it is admitted.
     """
     if scheme.name not in ARC_SCHEMES:
         raise AnalysisError(
@@ -366,7 +365,7 @@ def optimize(loop: Loop, scheme: SyncScheme, *,
             config = candidate["scheme"]
             instrumented = config.instrument(loop, graph,
                                              arcs=candidate["kept"])
-            verdict = dynamic_check(instrumented, oracle=oracle)
+            verdict = dynamic_check(instrumented)
             trial = CandidateTrial(
                 scheme=config.name, fold=candidate["fold"],
                 action="dynamic", arc=None,

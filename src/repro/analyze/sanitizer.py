@@ -1,4 +1,4 @@
-"""Dynamic race sanitizer -- the verifier's oracle, two backends.
+"""Dynamic race sanitizer -- the verifier's independent oracle.
 
 Runs an instrumented loop on the simulated machine and replays the
 recorded event stream through a happens-before race analysis.  The
@@ -14,24 +14,21 @@ stream is ``(seq, kind, where, task)`` tuples: data accesses (``"R"`` /
 * the full ``RunResult.trace`` + ``RunResult.sync_trace`` pair, merged
   and sorted by ``seq`` (the pre-tap path, kept for recorded runs).
 
+A run with neither cannot be checked, and :func:`check_trace` says so
+rather than report a vacuous "no races".
+
 The engine is a single-threaded discrete-event simulator that commits a
 synchronization write before resuming any waiter it satisfies, so issue
 order is consistent with program order and with every
 release-before-acquire edge -- replaying in ``seq`` order is sound.
 
-Two oracles consume the stream and must agree verdict for verdict:
-
-* ``oracle="om"`` (default): the DePa-style order-maintenance checker
-  in :mod:`repro.analyze.om` -- O(1) per race query, linear-time over
-  the stream, the one that scales to million-event counters-mode runs;
-* ``oracle="vc"``: the original FastTrack-style vector clocks, kept as
-  the independent differential-testing reference.  ``rel`` joins the
-  releaser's clock into the variable's clock then advances the
-  releaser; ``acq`` joins the variable's clock into the acquirer (with
-  a per-(task, variable) revision cache so re-acquiring an unchanged
-  variable no longer re-walks its whole clock -- the profile hotspot);
-  ``upd`` does both.  A data write must be ordered after the location's
-  last write *and* every read since it; a read after the last write.
+The stream is checked with FastTrack-style sparse vector clocks.
+``rel`` joins the releaser's clock into the variable's clock then
+advances the releaser; ``acq`` joins the variable's clock into the
+acquirer (with a per-(task, variable) revision cache so re-acquiring an
+unchanged variable does not re-walk its whole clock); ``upd`` does
+both.  A data write must be ordered after the location's last write
+*and* every read since it; a read after the last write.
 
 Verdicts fold in the machine's own failure modes so one call answers
 "did this schedule kill the mutant": a diagnosed deadlock or hazard is
@@ -50,7 +47,6 @@ from ..sim.machine import Machine, MachineConfig
 from ..sim.metrics import RunResult
 from ..sim.validate import ValidationError
 from ..schemes.base import InstrumentedLoop
-from .om import check_stream as _om_check_stream
 
 __all__ = ["RaceEvent", "DynamicVerdict", "event_stream", "check_trace",
            "dynamic_check"]
@@ -132,11 +128,9 @@ def _join(into: Dict[str, int], other: Dict[str, int]) -> None:
 def event_stream(result: RunResult) -> List[Tuple[int, str, Any, str]]:
     """Merged, harness-filtered ``(seq, kind, where, task)`` stream.
 
-    Both oracles consume this one stream, so filtering (and therefore
-    task-boot order) is decided here, once.  Prefers the engine's sync
-    tap when the run carries one -- it is already in issue order and
-    exists even in counters mode; otherwise merges the full trace with
-    the sync trace by ``seq``.
+    Prefers the engine's sync tap when the run carries one -- it is
+    already in issue order and exists even in counters mode; otherwise
+    merges the full trace with the sync trace by ``seq``.
     """
     tap = getattr(result, "tap", None)
     if tap:
@@ -154,19 +148,18 @@ def event_stream(result: RunResult) -> List[Tuple[int, str, Any, str]]:
     return events
 
 
-def check_trace(result: RunResult, oracle: str = "om") -> List[RaceEvent]:
-    """Replay a run's event stream through a happens-before analysis.
+def check_trace(result: RunResult) -> List[RaceEvent]:
+    """Replay a run's event stream through the vector-clock analysis.
 
-    ``oracle="om"`` uses the order-maintenance checker (the default);
-    ``oracle="vc"`` the original vector clocks.  Both return the same
-    races in the same order -- the mutation corpus pins this.
+    Raises ``ValueError`` for a run that recorded no stream at all (no
+    sync tap, no trace): its "no races" would be vacuous.
     """
-    events = event_stream(result)
-    if oracle == "om":
-        return [RaceEvent(*race) for race in _om_check_stream(events)]
-    if oracle != "vc":
-        raise ValueError(f"unknown oracle {oracle!r}; use 'om' or 'vc'")
-    return _check_vc(events)
+    if (getattr(result, "tap", None) is None and not result.trace
+            and not result.sync_trace):
+        raise ValueError(
+            "run carries no event stream to race-check; run it with "
+            "MachineConfig(sync_tap=True) or record_trace=True")
+    return _check_vc(event_stream(result))
 
 
 def _check_vc(events: List[Tuple[int, str, Any, str]]) -> List[RaceEvent]:
@@ -229,8 +222,7 @@ def dynamic_check(instrumented: InstrumentedLoop, *,
                   processors: Optional[int] = None,
                   schedule: str = "self",
                   validate: bool = True,
-                  max_races: int = 20,
-                  oracle: str = "om") -> DynamicVerdict:
+                  max_races: int = 20) -> DynamicVerdict:
     """Run one schedule and report how (whether) it kills the placement.
 
     ``processors`` defaults to one per iteration -- the maximally
@@ -246,7 +238,7 @@ def dynamic_check(instrumented: InstrumentedLoop, *,
         result = machine.run(instrumented)
     except HazardError as err:  # includes diagnosed DeadlockError
         return DynamicVerdict(verdict="deadlock", detail=str(err))
-    races = check_trace(result, oracle=oracle)
+    races = check_trace(result)
     if races:
         detail = "; ".join(r.describe() for r in races[:max_races])
         return DynamicVerdict(verdict="race", races=races,

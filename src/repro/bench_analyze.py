@@ -3,11 +3,10 @@
 The race sanitizer is the analysis stack's inner loop: every mutation
 kill, every dynamic gate, every optimizer admission pays one
 ``check_trace`` over a full event stream.  This module measures that
-cost for **both oracles** -- the DePa-style order-maintenance checker
-(``om``) and the reference vector clocks (``vc``) -- on counters-mode
-traces recorded through the engine's sync tap, at a ladder of trace
-sizes so the trajectory pins the *scaling*, not just one point.  It
-also times the placement optimizer end to end on a few standing loops.
+cost on counters-mode traces recorded through the engine's sync tap,
+at a ladder of trace sizes so the trajectory pins the *scaling*, not
+just one point.  It also times the placement optimizer end to end on a
+few standing loops.
 
 Results append to a JSON trajectory (``BENCH_analyze.json`` by
 convention), one schema-versioned entry per invocation, exactly like
@@ -16,10 +15,13 @@ convention), one schema-versioned entry per invocation, exactly like
 regression check flags a case only when both raw and
 calibration-normalized throughput drop, so neither a slow CI machine
 nor a burst of host load masquerades as a code regression.  Every case
-is keyed by a stable label (``sanitize/<app>/n=<n>/<oracle>`` or
+is keyed by a stable label (``sanitize/<app>/n=<n>/vc`` or
 ``optimize/<app>/<scheme>``) and compared against the most recent
 baseline entry measuring the same label, so a small CI run checks
-cleanly against a committed full-scale entry.
+cleanly against a committed full-scale entry.  (The ``vc`` suffix names
+the vector-clock sanitizer; the committed trajectory also holds
+``om`` entries from an order-maintenance checker that was measured
+slower and removed.)
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ SANITIZER_SIZES: Dict[str, Sequence[int]] = {
     "full": (4_000, 16_000, 60_000),
 }
 
-DEFAULT_ORACLES = ("om", "vc")
-
 #: (app, scheme) pairs the optimizer is timed on, at GATE_PARAMS sizes
 OPTIMIZER_CASES = (
     ("fig2.1", "statement-oriented"),
@@ -86,7 +86,6 @@ class _Stream:
 
 
 def bench_cases(scale: str = "small",
-                oracles: Sequence[str] = DEFAULT_ORACLES,
                 repeats: int = 1) -> Dict[str, Dict[str, Any]]:
     """Measure every case; return ``{label: result}`` dicts.
 
@@ -103,21 +102,20 @@ def bench_cases(scale: str = "small",
     for n in SANITIZER_SIZES[scale]:
         stream = _Stream(_record_stream(n))
         events = len(stream.tap)
-        for oracle in oracles:
-            best = float("inf")
-            races = 0
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                races = len(check_trace(stream, oracle=oracle))
-                best = min(best, time.perf_counter() - start)
-            cases[f"sanitize/{SANITIZER_APP}/n={n}/{oracle}"] = {
-                "kind": "sanitizer",
-                "events": events,
-                "races": races,
-                "wall_s": round(best, 6),
-                "score_per_s": round(events / best, 1),
-                "calibration": round(calibration_score(), 1),
-            }
+        best = float("inf")
+        races = 0
+        for _ in range(max(1, repeats)):
+            start = time.perf_counter()
+            races = len(check_trace(stream))
+            best = min(best, time.perf_counter() - start)
+        cases[f"sanitize/{SANITIZER_APP}/n={n}/vc"] = {
+            "kind": "sanitizer",
+            "events": events,
+            "races": races,
+            "wall_s": round(best, 6),
+            "score_per_s": round(events / best, 1),
+            "calibration": round(calibration_score(), 1),
+        }
     for app, scheme_name in OPTIMIZER_CASES:
         loop = build_app(app, GATE_PARAMS.get(app, {}))
         graph = DependenceGraph(loop)
@@ -144,9 +142,8 @@ def bench_cases(scale: str = "small",
     return cases
 
 
-def make_entry(scale: str = "small",
-               oracles: Sequence[str] = DEFAULT_ORACLES,
-               note: str = "", repeats: int = 1) -> Dict[str, Any]:
+def make_entry(scale: str = "small", note: str = "",
+               repeats: int = 1) -> Dict[str, Any]:
     """One schema-versioned trajectory entry."""
     return {
         "schema_version": ANALYZE_BENCH_SCHEMA_VERSION,
@@ -155,7 +152,7 @@ def make_entry(scale: str = "small",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "calibration": round(calibration_score(), 1),
-        "cases": bench_cases(scale, oracles, repeats=repeats),
+        "cases": bench_cases(scale, repeats=repeats),
     }
 
 
@@ -244,17 +241,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = make_parser(
         "repro bench-analyze",
-        "Measure sanitizer throughput (events/sec, both oracles) and "
+        "Measure sanitizer throughput (events/sec) and "
         "optimizer wall-clock, appending to a benchmark trajectory.")
     add_common_options(parser)
     parser.add_argument(
         "--scale", choices=sorted(SANITIZER_SIZES), default="small",
         help="trace-size ladder: 'small' for CI, 'full' adds the "
              ">=10^6-event top rung (default small)")
-    parser.add_argument(
-        "--oracle", action="append", default=None,
-        choices=["om", "vc"],
-        help="sanitizer oracle to measure (repeatable; default both)")
     parser.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="time each case N times and keep the best wall clock")
@@ -271,9 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "throughput drops below R x baseline (default 0.8)")
     args = parser.parse_args(argv)
 
-    oracles = tuple(args.oracle or DEFAULT_ORACLES)
-    entry = make_entry(args.scale, oracles, note=args.note,
-                       repeats=args.repeat)
+    entry = make_entry(args.scale, note=args.note, repeats=args.repeat)
     print(format_entry(entry))
 
     status = 0

@@ -37,7 +37,7 @@ def _entry(score: float, calibration: float,
         "python": "3.11.7",
         "platform": "test",
         "calibration": calibration,
-        "cases": {"sanitize/fig2.1/n=100/om": case},
+        "cases": {"sanitize/fig2.1/n=100/vc": case},
     }
 
 
@@ -93,7 +93,7 @@ def test_trajectory_roundtrip(tmp_path) -> None:
     append_entry(path, _entry(1000.0, 100.0))
     append_entry(path, _entry(1100.0, 100.0))
     data = load_trajectory(path)
-    assert [e["cases"]["sanitize/fig2.1/n=100/om"]["score_per_s"]
+    assert [e["cases"]["sanitize/fig2.1/n=100/vc"]["score_per_s"]
             for e in data["entries"]] == [1000.0, 1100.0]
 
 

@@ -8,7 +8,8 @@ import pathlib
 import pytest
 
 from repro.__main__ import build_analyze_parser, main
-from repro.analyze import ANALYZE_SCHEMA_VERSION, AnalysisReport
+from repro.analyze import (ANALYZE_SCHEMA_VERSION, AnalysisReport,
+                           OptimizationReport)
 
 
 def test_gate_mode_passes_on_the_shipped_placements(capsys):
@@ -28,6 +29,33 @@ def test_gate_mode_writes_versioned_reports(tmp_path, capsys):
     report = AnalysisReport.from_json(
         payload["reports"]["fig2.1/statement-oriented"])
     assert report.clean
+
+
+def test_gate_mode_cross_checks_dynamically_unless_static_only(
+        tmp_path, capsys):
+    path = tmp_path / "gate.json"
+    assert main(["analyze", "--gate", "--app", "fig2.1",
+                 "--json", str(path)]) == 0
+    assert "4 dynamically cross-checked" in capsys.readouterr().out
+    dynamic = json.loads(path.read_text())["dynamic"]
+    assert sorted(dynamic.values()) == ["clean"] * 4
+    assert main(["analyze", "--gate", "--app", "fig2.1",
+                 "--static-only", "--json", str(path)]) == 0
+    assert "cross-checked" not in capsys.readouterr().out
+    assert json.loads(path.read_text())["dynamic"] == {}
+
+
+def test_optimize_with_json_still_cross_checks_dynamically(
+        tmp_path, capsys):
+    path = tmp_path / "opt.json"
+    assert main(["analyze", "--app", "fold-chain",
+                 "--scheme", "process-oriented", "--optimize",
+                 "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "dynamic cross-check" in out and "agrees" in out
+    assert "wrote optimization report" in out
+    report = OptimizationReport.from_json(json.loads(path.read_text()))
+    assert report.sync_ops_after < report.sync_ops_before
 
 
 def test_pair_mode_with_elimination_and_findings_json(tmp_path, capsys):

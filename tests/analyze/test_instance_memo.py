@@ -93,8 +93,8 @@ def verify_cases() -> Dict[str, Dict[str, Any]]:
 
 
 def gate_cases() -> Dict[str, Dict[str, Any]]:
-    """The 52-pair gate with the order-maintenance dynamic cross-check."""
-    result = gate(dynamic_oracle="om")
+    """The 52-pair gate with the dynamic race cross-check."""
+    result = gate(dynamic=True)
     cases = {key: _pin(report) for key, report in result.reports.items()}
     for key, verdict in result.dynamic.items():
         cases[key]["dynamic"] = verdict

@@ -1,4 +1,4 @@
-"""Mutation kill: neither oracle is vacuous.
+"""Mutation kill: neither the verifier nor the sanitizer is vacuous.
 
 Every app x scheme placement gets each eligible sync op deleted or
 weakened, one mutant at a time.  The contract proven here:
@@ -11,10 +11,12 @@ weakened, one mutant at a time.  The contract proven here:
   the two oracles never disagree (the handful of statically-clean
   weakens are genuinely redundant waits, which is the eliminator's
   domain, not a missed bug);
-* on every mutant trace that produced a checkable stream, the
-  order-maintenance and vector-clock sanitizer oracles return the same
-  races in the same order -- the full-corpus differential that lets
-  the fast OM oracle stand in for the clocks everywhere.
+* on every mutant trace, the sanitizer's vector clocks return the same
+  races in the same order as the brute-force per-event reference clocks
+  of ``test_sanitizer`` -- the full-corpus differential on real machine
+  traces, beside the property test on random streams there;
+* enough mutant runs carry a checkable stream, and enough of those
+  race, for that differential to mean something.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ from repro.analyze import (apply_mutant, check_trace, dynamic_check,
                            enumerate_mutants, kill_mutant,
                            verify_instrumented)
 from repro.lab.apps import build_app
+from repro.analyze.sanitizer import event_stream
 from repro.schemes.registry import make_scheme, scheme_names
+
+from .test_sanitizer import reference_races
 
 #: small enough to sweep every mutant in seconds, large enough that
 #: every verification window (2 x max distance, >= the fold factor
@@ -53,7 +58,7 @@ SMALL = {
 def _sweep_pair(app, scheme_name):
     """(mutant, static_report, dynamic_verdict) for every mutant.
 
-    Cached: the kill sweep and the oracle differential below share one
+    Cached: the kill sweep and the reference differential share one
     simulation per mutant instead of paying for the corpus twice.
     """
     loop = build_app(app, SMALL[app])
@@ -92,21 +97,20 @@ def test_every_mutant_agreed_on(app):
 
 @pytest.mark.parametrize("app", sorted(SMALL))
 def test_oracles_agree_on_every_mutant(app):
-    """OM and VC return identical race lists on every mutant trace.
+    """Vector clocks == brute-force clocks on every mutant trace.
 
     Diagnosed deadlocks carry no stream (the machine stopped before a
-    trace existed), so both oracles trivially agree there; every other
-    verdict -- clean, race, corruption -- carries the run, and the two
-    oracles must match race for race on it.
+    trace existed); every other verdict -- clean, race, corruption --
+    carries the run, and both checks must match race for race on it.
     """
     for scheme_name in scheme_names():
         for mutant, _static, verdict in _sweep_pair(app, scheme_name):
             if verdict.result is None:
                 continue  # diagnosed deadlock: nothing was traced
-            races_om = check_trace(verdict.result, oracle="om")
-            races_vc = check_trace(verdict.result, oracle="vc")
-            assert races_om == races_vc, (
-                f"{app}/{scheme_name}/{mutant.label}: oracles disagree")
+            expected = reference_races(event_stream(verdict.result))
+            assert check_trace(verdict.result) == expected, (
+                f"{app}/{scheme_name}/{mutant.label}: the sanitizer "
+                f"and the reference clocks disagree")
 
 
 def test_oracle_differential_is_not_vacuous():
