@@ -337,13 +337,20 @@ def _analyze_mode(argv) -> int:
     from .analyze import (ANALYZE_SCHEMA_VERSION, dynamic_check, eliminate,
                           gate, optimize, validate_elimination,
                           validate_optimization, verify)
+    from .analyze.eliminate import ARC_SCHEMES
     from .analyze.gate import GATE_PARAMS
     from .depend.graph import DependenceGraph
-    from .lab.apps import build_app
-    from .schemes import make_scheme
+    from .lab.apps import app_names, build_app
+    from .schemes import make_scheme, scheme_names
 
     parser = build_analyze_parser()
     args = parser.parse_args(argv)
+    # user-input errors end as parser errors (exit 2), never a traceback
+    if args.app is not None and args.app not in app_names():
+        parser.error(f"unknown app {args.app!r}; known: {app_names()}")
+    if args.scheme is not None and args.scheme not in scheme_names():
+        parser.error(f"unknown scheme {args.scheme!r}; "
+                     f"known: {scheme_names()}")
 
     if args.gate:
         result = gate(apps=[args.app] if args.app else None,
@@ -369,6 +376,10 @@ def _analyze_mode(argv) -> int:
 
     if not args.app or not args.scheme:
         parser.error("need --app and --scheme (or --gate)")
+    if (args.optimize or args.eliminate) and args.scheme not in ARC_SCHEMES:
+        flag = "--optimize" if args.optimize else "--eliminate"
+        parser.error(f"{flag} needs an arc-driven scheme "
+                     f"({', '.join(ARC_SCHEMES)}), not {args.scheme!r}")
     params = dict(GATE_PARAMS.get(args.app, {}))
     for override in args.param:
         name, _, value = override.partition("=")

@@ -7,9 +7,9 @@ the optimizer searches over **(scheme configuration, fold factor X,
 eliminated-arc subset)** per loop, scoring every candidate with the
 analytic :mod:`repro.compiler.cost_model` estimates and admitting only
 candidates the static verifier proves clean (via the shared
-:func:`repro.analyze.eliminate.arc_gate`), with the now-cheap
-order-maintenance sanitizer as the dynamic admission gate on each
-surviving configuration.
+:func:`repro.analyze.eliminate.arc_gate`), with the vector-clock race
+sanitizer (:func:`repro.analyze.sanitizer.dynamic_check`) as the dynamic
+admission gate on each surviving configuration.
 
 Why cost-guided beats farthest-first: a statement-oriented Await on an
 arc of distance ``d`` executes ``n - d`` times, so dropping a *short*

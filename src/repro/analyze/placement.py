@@ -39,14 +39,14 @@ For the improved style the optimistic stream is post-processed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core.process_counter import pc_at_least
 from ..schemes.base import InstrumentedLoop
 from ..sim.memory import MemoryConfig, SharedMemory
-from ..sim.ops import (Annotate, MemRead, MemWrite, SyncRead, SyncUpdate,
-                       SyncWrite, WaitUntil)
+from ..sim.ops import (Annotate, MemRead, MemWrite, Operation, SyncRead,
+                       SyncUpdate, SyncWrite, WaitUntil)
 
 #: runaway guard for the per-task dry run
 _MAX_OPS_PER_TASK = 200_000
@@ -56,9 +56,13 @@ class AnalysisError(Exception):
     """The placement violates an assumption the static model relies on."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
-    """One op instance in the unrolled placement."""
+    """One op instance in the unrolled placement.
+
+    Slotted, with a shared empty ``extra_preds``: an optimizer call
+    builds thousands per verifier window.
+    """
 
     nid: int
     task: int                    # lpid of the issuing iteration
@@ -69,7 +73,7 @@ class Node:
     #: inserted by the analyzer, not present in the run-time stream
     synthetic: bool = False
     #: extra happens-before predecessors (ownership edges), by node id
-    extra_preds: List[int] = field(default_factory=list)
+    extra_preds: Tuple[int, ...] = ()
 
     def describe(self) -> str:
         op = self.op
@@ -188,6 +192,23 @@ def _improved_pc_context(instrumented: InstrumentedLoop):
     return None, set()
 
 
+#: which index list a node of each op class joins, isinstance order
+_INDEX_ORDER = ((SyncWrite, "sync_write"), (SyncUpdate, "sync_update"),
+                (WaitUntil, "wait"), (MemRead, "R"), (MemWrite, "W"))
+
+
+def _index_kind(cls: type) -> str:
+    """Index list of ``cls``'s nodes ("" for none), subclasses included."""
+    for base, kind in _INDEX_ORDER:
+        if issubclass(cls, base):
+            return kind
+    return ""
+
+
+#: :func:`_index_kind` of every op class; subclasses take the slow path
+_INDEX_KIND: Dict[type, str] = {cls: _index_kind(cls) for cls in Operation}
+
+
 def extract(instrumented: InstrumentedLoop,
             pids: List[int]) -> StaticPlacement:
     """Unroll the placement over ``pids`` (optimistic streams)."""
@@ -238,12 +259,12 @@ def extract(instrumented: InstrumentedLoop,
                                     tag=tag, guaranteed=False)
                         handoff = release_by_owner.get((op.var, pid))
                         if handoff is not None:
-                            node.extra_preds.append(handoff)
+                            node.extra_preds = (handoff,)
                 else:
                     node = Node(nid=len(nodes), task=pid, op=op, tag=tag,
                                 guaranteed=False)
             else:
-                node = Node(nid=len(nodes), task=pid, op=op, tag=tag)
+                node = Node(len(nodes), pid, op, tag)
             nodes.append(node)
             task_ids.append(node.nid)
         tasks[pid] = task_ids
@@ -252,20 +273,21 @@ def extract(instrumented: InstrumentedLoop,
     update_nodes: Dict[int, List[int]] = {}
     wait_nodes: List[int] = []
     access_index: Dict[Tuple[Any, str, Any], List[int]] = {}
+    kinds = _INDEX_KIND
     for node in nodes:
         op = node.op
-        if isinstance(op, SyncWrite):
+        kind = kinds.get(op.__class__)
+        if kind is None:
+            kind = _index_kind(op.__class__)
+        if kind == "sync_write":
             write_nodes.setdefault(op.var, []).append(node.nid)
-        elif isinstance(op, SyncUpdate):
+        elif kind == "sync_update":
             update_nodes.setdefault(op.var, []).append(node.nid)
-        elif isinstance(op, WaitUntil):
+        elif kind == "wait":
             wait_nodes.append(node.nid)
-        elif isinstance(op, MemRead) and node.tag is not None:
+        elif kind and node.tag is not None:  # "R" or "W"
             access_index.setdefault(
-                (node.tag, "R", op.addr), []).append(node.nid)
-        elif isinstance(op, MemWrite) and node.tag is not None:
-            access_index.setdefault(
-                (node.tag, "W", op.addr), []).append(node.nid)
+                (node.tag, kind, op.addr), []).append(node.nid)
 
     mixed = set(write_nodes) & set(update_nodes)
     if mixed:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..depend.model import Loop
-from ..schemes.base import execute_statement
+from ..schemes.base import StatementTemplate
 from ..sim.machine import Machine, MachineConfig
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
@@ -45,12 +45,13 @@ class SerialLoopWorkload:
         return BroadcastSyncFabric()
 
     def make_process(self, _iteration: int) -> Generator:
+        templates = [StatementTemplate(self.loop, stmt)
+                     for stmt in self.loop.body]
         for index in self.loop.iteration_space():
             lpid = self.loop.lpid(index)
-            for stmt in self.loop.body:
-                if stmt.executes_at(index):
-                    yield from execute_statement(self.loop, stmt, index,
-                                                 lpid)
+            for template in templates:
+                if template.executes_at(index):
+                    yield from template.issue(index, lpid)
 
     def prologue(self) -> List[Generator]:
         return []

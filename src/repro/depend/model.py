@@ -263,12 +263,17 @@ class Loop:
         """
         lowered = self._lowered.get(id(ref))
         if lowered is None or lowered[0] is not ref:
-            lowered = self._lower(ref)
+            lowered = self.lower(ref)
         _ref, array, flat, coefs = lowered
         return (array, flat + sum(map(mul, coefs, index)))
 
-    def _lower(self, ref: ArrayRef) -> Tuple[ArrayRef, str, int,
-                                             Tuple[int, ...]]:
+    def lower(self, ref: ArrayRef) -> Tuple[ArrayRef, str, int,
+                                            Tuple[int, ...]]:
+        """``(ref, array, origin, coefs)``: ``ref`` at ``index`` touches
+        ``(array, origin + sum(coefs * index))``; cached per loop."""
+        lowered = self._lowered.get(id(ref))
+        if lowered is not None and lowered[0] is ref:
+            return lowered
         origin = self.flatten(ref.array, ref.element((0,) * self.depth))[1]
         coefs = tuple(
             self.flatten(ref.array, ref.element(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..depend.graph import DependenceGraph
@@ -26,8 +27,8 @@ from ..depend.model import Index, Loop, Statement
 from ..sim.machine import Machine, MachineConfig
 from ..sim.memory import SharedMemory
 from ..sim.metrics import RunResult
-from ..sim.ops import (Address, Annotate, Compute, MemRead, MemWrite,
-                       WaitUntil)
+from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead,
+                       MemWrite, WaitUntil)
 from ..sim.sync_bus import SyncFabric
 from ..sim.validate import (check_dependence_instances, check_final_state,
                             check_reads_match_recovered,
@@ -62,77 +63,86 @@ class RunConfig:
     metrics: str = "full"
 
 
-class CompiledStatement:
-    """One statement instance's operation stream, compiled once.
+class StatementTemplate:
+    """One body statement, lowered once and bound to an iteration as it
+    issues.
 
-    Everything about the instance except its read *values* is known
-    before the run: the tag, the read addresses, the compute cost and
-    the write addresses.  Compiling those into reusable frozen ops (via
-    :func:`compile_statement`) moves address arithmetic and operation
-    construction out of the simulated run's hot path -- the ops are
-    immutable, so one compiled instance serves every execution and
-    replay of the stream.
+    The paper's compiler emits one instrumented loop body that every
+    process runs with its own index (Fig. 4.2(b)).  A template is the
+    statement part of that body: the lowered read and write references
+    ``(array, origin, coefs)`` (see :meth:`Loop.lower`), the compute op
+    (one shared op when the cost is constant) and the guard.
+    :meth:`issue` binds it to one iteration, computing each address, the
+    tag and the cost as the op is yielded, so nothing per iteration is
+    built before a run or kept after it.
     """
 
-    __slots__ = ("sid", "lpid", "tag_op", "read_ops", "compute_op",
-                 "write_addrs")
+    __slots__ = ("sid", "reads", "writes", "cost", "compute", "guard")
 
-    def __init__(self, loop: Loop, stmt: Statement, index: Index,
-                 lpid: int) -> None:
+    def __init__(self, loop: Loop, stmt: Statement) -> None:
         self.sid = stmt.sid
-        self.lpid = lpid
-        self.tag_op = Annotate("tag", {"tag": (stmt.sid, lpid)})
-        self.read_ops = tuple(MemRead(loop.address_of(ref, index))
-                              for ref in stmt.reads)
-        self.compute_op = Compute(stmt.cost_at(index))
-        self.write_addrs = tuple(loop.address_of(ref, index)
-                                 for ref in stmt.writes)
+        self.reads = tuple(loop.lower(ref)[1:] for ref in stmt.reads)
+        self.writes = tuple(loop.lower(ref)[1:] for ref in stmt.writes)
+        self.cost = stmt.cost
+        self.compute = None if callable(stmt.cost) else Compute(
+            int(stmt.cost))
+        self.guard = stmt.guard
 
-    def stream(self) -> Generator:
+    def executes_at(self, index: Index) -> bool:
+        """Whether the statement runs in this iteration (guard check)."""
+        return self.guard is None or bool(self.guard(index))
+
+    def compute_at(self, index: Index) -> Compute:
+        """The compute op of the instance at ``index``."""
+        return self.compute or Compute(int(self.cost(index)))
+
+    def issue(self, index: Index, lpid: int) -> Generator:
         """Run the instance: tag, read, compute, write (see module doc).
 
-        The schemes' fast bodies inline this exact sequence to avoid the
-        ``yield from`` frame hop; keep them in sync when changing it.
+        The tag ``(sid, lpid)`` attributes the instance's memory accesses
+        in the trace; it is cleared afterwards so scheme-internal
+        accesses are not mis-attributed.
         """
-        yield self.tag_op
+        yield Annotate("tag", {"tag": (self.sid, lpid)})
         values: List[Any] = []
-        for op in self.read_ops:
-            value = yield op
-            values.append(value)
-        yield self.compute_op
-        result = mix(self.sid, self.lpid, values)
-        for addr in self.write_addrs:
-            yield MemWrite(addr, result)
+        for array, origin, coefs in self.reads:
+            values.append((yield MemRead(
+                (array, origin + sum(map(mul, coefs, index))))))
+        yield self.compute_at(index)
+        result = mix(self.sid, lpid, values)
+        for array, origin, coefs in self.writes:
+            yield MemWrite((array, origin + sum(map(mul, coefs, index))),
+                           result)
         yield _CLEAR_TAG
-
-
-def compile_statement(loop: Loop, stmt: Statement, index: Index,
-                      lpid: int) -> CompiledStatement:
-    """Compiled op stream for one statement instance, cached on the loop."""
-    cache = loop.__dict__.get("_compiled_statements")
-    if cache is None:
-        cache = loop.__dict__["_compiled_statements"] = {}
-    key = (stmt.sid, lpid)
-    compiled = cache.get(key)
-    if compiled is None:
-        compiled = cache[key] = CompiledStatement(loop, stmt, index, lpid)
-    return compiled
 
 
 def execute_statement(loop: Loop, stmt: Statement, index: Index,
                       lpid: int) -> Generator:
-    """Run one statement instance: tag, read, compute, write.
-
-    The tag ``(sid, lpid)`` attributes the instance's memory accesses in
-    the trace; it is cleared afterwards so scheme-internal accesses are
-    not mis-attributed.
-    """
-    return compile_statement(loop, stmt, index, lpid).stream()
+    """Run one statement instance: tag, read, compute, write."""
+    return StatementTemplate(loop, stmt).issue(index, lpid)
 
 
 #: every statement instance ends by clearing its tag; the record is
 #: immutable to the engine, so one shared instance serves all of them
 _CLEAR_TAG = Annotate("tag", {"tag": None})
+
+#: a fence carries no state, so one shared instance serves every scheme
+FENCE = Fence()
+
+
+def at_least(threshold: int):
+    """Monotone predicate: sync value >= ``threshold`` (memoized)."""
+    predicate = _AT_LEAST.get(threshold)
+    if predicate is None:
+        def predicate(value: int, _threshold: int = threshold) -> bool:
+            return value >= _threshold
+        _AT_LEAST[threshold] = predicate
+    return predicate
+
+
+#: threshold -> predicate memo; thresholds are small ints, and reusing
+#: the closure spares an allocation per issued wait
+_AT_LEAST: Dict[int, Any] = {}
 
 
 def bound_waits(process: Generator, max_spin: int) -> Generator:
@@ -183,8 +193,8 @@ class InstrumentedLoop(ABC):
         #: memory contents present before the loop runs (set by callers
         #: chaining loops into programs; see repro.compiler.program)
         self.seed_memory: Dict[Address, Any] = {}
-        #: pid -> compiled clean-run op stream, filled on first use
-        self._streams: Dict[int, Any] = {}
+        #: per-statement templates, built on first use (see templates())
+        self._templates: Optional[list] = None
 
     # -- Workload protocol -------------------------------------------------
 
@@ -200,26 +210,31 @@ class InstrumentedLoop(ABC):
         """Setup processes (e.g. key initialization); default: none."""
         return []
 
-    def _compile(self, pid: int) -> Any:
-        """Compile ``pid``'s clean-run op stream from current state."""
-        raise NotImplementedError
+    def templates(self) -> list:
+        """The loop body's per-statement templates, built on first use.
 
-    def _stream(self, pid: int) -> Any:
-        """``pid``'s compiled op stream, compiled on its first use, so a
-        verifier dry run pays only for its window."""
-        stream = self._streams.get(pid)
-        if stream is None:
-            stream = self._streams[pid] = self._compile(pid)
-        return stream
+        Every process of every run binds these same templates to its own
+        iteration as it issues ops (see :class:`StatementTemplate`).
+        """
+        templates = self._templates
+        if templates is None:
+            templates = self._templates = self._build_templates()
+        return templates
+
+    def _build_templates(self) -> list:
+        """One template per body statement; schemes add their sync
+        pattern (wait variables, distances, reason prefixes)."""
+        return [StatementTemplate(self.loop, stmt)
+                for stmt in self.loop.body]
 
     def recompile(self) -> None:
-        """Forget compiled op streams; each recompiles on its next use.
+        """Drop the templates; they rebuild from current state on next use.
 
-        A stream, once compiled, serves every later run of this loop, so
-        mutating scheme state (sabotage tests, ablations that rewrite
-        the sync plan or the arcs) needs this call to take effect.
+        The templates serve every later run of this loop, so mutating
+        scheme state (sabotage tests, ablations that rewrite the sync
+        plan or the arcs) needs this call to take effect.
         """
-        self._streams.clear()
+        self._templates = None
 
     def enable_checkpoints(self) -> None:
         """Turn on checkpoint emission for crash recovery (see base attr)."""

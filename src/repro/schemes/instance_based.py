@@ -25,18 +25,14 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
-                       SyncWrite, WaitUntil)
+from ..sim.ops import (Address, Annotate, MemRead, MemWrite, SyncWrite,
+                       WaitUntil)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
-from .base import InstrumentedLoop, SyncScheme
+from .base import _CLEAR_TAG, FENCE, InstrumentedLoop, SyncScheme
 
 #: renamed instances live in this pseudo-array
 INSTANCE_SPACE = "__inst__"
-
-#: shared immutable ops for the compiled streams
-_FENCE = Fence()
-_CLEAR_TAG = Annotate("tag", {"tag": None})
 
 
 @dataclass
@@ -140,71 +136,12 @@ class InstanceBasedLoop(InstrumentedLoop):
                                   if i.writer is None]
         #: bits are allocated in instance order on a fresh fabric, so
         #: their ids are known before any run (asserted in
-        #: build_fabric): each iteration's stream compiles on first use.
+        #: build_fabric) and the body can name them as it issues.
         cursor = 0
         for instance in self.instances:
             n_bits = len(instance.copies)
             instance.bits = list(range(cursor, cursor + n_bits))
             cursor += n_bits
-
-    def _compile(self, pid: int) -> list:
-        """Compile ``pid``'s clean-run op stream (no checkpoints).
-
-        One entry per executed statement: ``(tag_op, reads, compute_op,
-        sid, writes)`` where ``reads`` holds ``(wait, read, consume)``
-        triples and ``writes`` holds ``(copy_addrs, bit_ops)`` pairs --
-        exactly the stream :meth:`_body` emits with no replay skip and
-        checkpoints off.
-        """
-        index = self.loop.index_of_lpid(pid)
-        program = []
-        for stmt in self.loop.body:
-            if not stmt.executes_at(index):
-                continue
-            tag = (stmt.sid, pid)
-            reads = []
-            for binding in self.reads_of.get(tag, ()):
-                instance = self.instances[binding.instance_id]
-                bit = instance.bits[binding.copy_index]
-                reads.append((
-                    WaitUntil(bit, _full,
-                              reason=f"full {instance.base_addr}"
-                                     f"v{instance.version}"),
-                    MemRead(instance.copies[binding.copy_index]),
-                    SyncWrite(bit, 0) if self.consume else None))
-            writes = []
-            for instance_id in self.writes_of.get(tag, ()):
-                instance = self.instances[instance_id]
-                writes.append((tuple(instance.copies),
-                               tuple(SyncWrite(bit, 1)
-                                     for bit in instance.bits)))
-            program.append((Annotate("tag", {"tag": tag}),
-                            tuple(reads),
-                            Compute(stmt.cost_at(index)),
-                            stmt.sid,
-                            tuple(writes)))
-        return program
-
-    def _fast_body(self, pid: int) -> Generator:
-        """Replay the compiled stream (clean runs, no checkpoints)."""
-        for tag_op, reads, compute_op, sid, writes in self._stream(pid):
-            yield tag_op
-            values: List[Any] = []
-            for wait_op, read_op, consume_op in reads:
-                yield wait_op
-                value = yield read_op
-                values.append(value)
-                if consume_op is not None:
-                    yield consume_op
-            yield compute_op
-            result = mix(sid, pid, values)
-            for copy_addrs, bit_ops in writes:
-                for addr in copy_addrs:
-                    yield MemWrite(addr, result)
-                yield _FENCE
-                for op in bit_ops:
-                    yield op
-            yield _CLEAR_TAG
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         fabric = MemorySyncFabric(memory, poll_interval=self.poll_interval,
@@ -215,7 +152,7 @@ class InstanceBasedLoop(InstrumentedLoop):
             allocated = list(fabric.alloc(len(instance.copies),
                                           init=initial))
             assert allocated == instance.bits, \
-                "fabric allocation drifted from the compiled bit ops"
+                "fabric allocation drifted from the bit plan"
         return fabric
 
     def prologue(self) -> List[Generator]:
@@ -266,9 +203,7 @@ class InstanceBasedLoop(InstrumentedLoop):
         return sum(len(instance.copies) for instance in self.instances)
 
     def make_process(self, pid: int) -> Generator:
-        if self.checkpoints_enabled:
-            return self._body(pid)
-        return self._fast_body(pid)
+        return self._body(pid)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -297,55 +232,54 @@ class InstanceBasedLoop(InstrumentedLoop):
     def _body(self, pid: int, skip_stmt: int = 0, skip_acc: int = 0,
               journaled: Optional[List[Any]] = None) -> Generator:
         index = self.loop.index_of_lpid(pid)
-        executed = [stmt for stmt in self.loop.body
-                    if stmt.executes_at(index)]
-        for stmt_pos, stmt in enumerate(executed):
+        instances = self.instances
+        stmt_pos = -1
+        for template in self.templates():
+            if not template.executes_at(index):
+                continue
+            stmt_pos += 1
             if stmt_pos < skip_stmt:
                 continue
             acc_done = skip_acc if stmt_pos == skip_stmt else 0
-            seen = (journaled or []) if stmt_pos == skip_stmt else []
-            tag = (stmt.sid, pid)
+            tag = (template.sid, pid)
             yield Annotate("tag", {"tag": tag})
             values: List[Any] = []
             for read_pos, binding in enumerate(self.reads_of[tag]):
                 if read_pos < acc_done:
                     # This read's consuming SyncWrite already landed:
                     # the bit is empty, so reuse the journalled value.
-                    values.append(seen[read_pos])
+                    values.append(journaled[read_pos])
                     continue
-                instance = self.instances[binding.instance_id]
+                instance = instances[binding.instance_id]
                 bit = instance.bits[binding.copy_index]
-                copy_addr = instance.copies[binding.copy_index]
                 yield WaitUntil(bit, _full,
                                 reason=f"full {instance.base_addr}"
                                        f"v{instance.version}")
-                value = yield MemRead(copy_addr)
-                values.append(value)
+                values.append((yield MemRead(
+                    instance.copies[binding.copy_index])))
                 if self.consume:
                     # HEP read empties the bit (non-idempotent signal)
                     yield SyncWrite(bit, 0,
                                     checkpoint=self._ckpt(
                                         pid, stmt_pos, read_pos + 1,
                                         values))
-            yield Compute(stmt.cost_at(index))
-            result = mix(stmt.sid, pid, values)
+            yield template.compute_at(index)
+            result = mix(template.sid, pid, values)
             write_ids = self.writes_of[tag]
-            total_bits = sum(len(self.instances[i].bits)
-                             for i in write_ids)
-            filled = 0
             for instance_id in write_ids:
-                instance = self.instances[instance_id]
+                instance = instances[instance_id]
                 for copy_addr in instance.copies:
                     yield MemWrite(copy_addr, result)
-                yield Fence()  # copies visible before bits flip
+                yield FENCE  # copies visible before bits flip
+                last = instance_id == write_ids[-1]
                 for bit in instance.bits:
-                    filled += 1
                     # the statement's last publish advances the journal
                     # to the next statement boundary
                     boundary = (self._ckpt(pid, stmt_pos + 1, 0, [])
-                                if filled == total_bits else None)
+                                if last and bit == instance.bits[-1]
+                                else None)
                     yield SyncWrite(bit, 1, checkpoint=boundary)
-            yield Annotate("tag", {"tag": None})
+            yield _CLEAR_TAG
 
 
 def _full(value: int) -> bool:

@@ -30,14 +30,10 @@ from ..core.process_counter import ProcessCounterFile, pc_at_least
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil
+from ..sim.ops import SyncWrite, WaitUntil
 from ..sim.cache_fabric import CachedSyncFabric
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
-from ..sim.validate import mix
-from .base import (_CLEAR_TAG, InstrumentedLoop, SyncScheme,
-                   compile_statement)
-
-_FENCE = Fence()
+from .base import FENCE, InstrumentedLoop, StatementTemplate, SyncScheme
 
 
 class ProcessOrientedLoop(InstrumentedLoop):
@@ -64,34 +60,21 @@ class ProcessOrientedLoop(InstrumentedLoop):
             split_fields=split_fields, split_order=split_order)
         self._fabric: Optional[SyncFabric] = None
 
-    def _compile(self, pid: int) -> list:
-        """``(waits, executed, compiled, stmt_plan)`` per plan statement.
+    def _build_templates(self) -> list:
+        """``(statement, waits, source_step, is_last_source)`` per plan
+        statement, ``waits`` holding ``(dist, step, reason prefix)``.
 
-        Counters are allocated first on a fresh fabric, so their ids
-        (slot order from 0) are known before any run (asserted in
-        build_fabric) and every static piece of the stream compiles.
+        Counters are allocated first on a fresh fabric, so the counter
+        of iteration ``source`` is variable ``(source - first_pid) % X``
+        (asserted in build_fabric) and :meth:`_process` binds each wait
+        to its pid without asking the counter file.
         """
-        index = self.loop.index_of_lpid(pid)
-        first_pid = self.counters.first_pid
-        n = self.counters.n_counters
-        frames = []
-        for stmt_plan in self.plan.statements:
-            stmt = self.loop.statement(stmt_plan.sid)
-            waits = []
-            for wait in stmt_plan.waits:
-                source = pid - wait.dist
-                if source < first_pid:
-                    # loop-boundary sink: no source iteration, no wait
-                    continue
-                waits.append(WaitUntil(
-                    (source - first_pid) % n,
-                    pc_at_least((source, wait.step)),
-                    reason=f"wait_PC({wait.dist},{wait.step}) by p{pid}"))
-            executed = stmt.executes_at(index)
-            compiled = (compile_statement(self.loop, stmt, index, pid)
-                        if executed else None)
-            frames.append((tuple(waits), executed, compiled, stmt_plan))
-        return frames
+        return [(StatementTemplate(self.loop, self.loop.statement(p.sid)),
+                 tuple((wait.dist, wait.step,
+                        f"wait_PC({wait.dist},{wait.step}) by p")
+                       for wait in p.waits),
+                 p.source_step, p.is_last_source)
+                for p in self.plan.statements]
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         if self.fabric_kind == "cached":
@@ -104,7 +87,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
                                          **self.fabric_kwargs)
         self.counters.allocate(fabric)
         assert self.counters._vars == range(0, self.counters.n_counters), \
-            "fabric allocation drifted from the compiled wait ops"
+            "fabric allocation drifted from the templates' wait vars"
         self._fabric = fabric
         return fabric
 
@@ -135,9 +118,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
         return self.counters.n_counters if self.needs_counters else 0
 
     def make_process(self, iteration: int) -> Generator:
-        if self.style == "basic":
-            return self._basic_process(iteration)
-        return self._improved_process(iteration)
+        return self._process(iteration)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -153,11 +134,7 @@ class ProcessOrientedLoop(InstrumentedLoop):
         the final transfer, exactly as in lazy-mark mode.
         """
         skip = 0 if checkpoint is None else checkpoint["stmt"]
-        if self.style == "basic":
-            return self._basic_process(iteration, skip_stmt=skip,
-                                       restore=checkpoint)
-        return self._improved_process(iteration, skip_stmt=skip,
-                                      restore=checkpoint)
+        return self._process(iteration, skip_stmt=skip, restore=checkpoint)
 
     def _ckpt(self, pid: int, stmt_pos: int, **state) -> Optional[dict]:
         if not self.checkpoints_enabled:
@@ -167,33 +144,40 @@ class ProcessOrientedLoop(InstrumentedLoop):
         return payload
 
     # ------------------------------------------------------------------
-    # emission, one generator per iteration
+    # emission: one loop body, bound to its pid as it issues
     # ------------------------------------------------------------------
 
-    def _basic_process(self, pid: int, skip_stmt: int = 0,
-                       restore: Optional[dict] = None) -> Generator:
+    def _process(self, pid: int, skip_stmt: int = 0,
+                 restore: Optional[dict] = None) -> Generator:
+        basic = self.style == "basic"
         cursor = StepCursor(self.plan.n_sources,
                             eager=self.eager_branch_marks)
-        acquired = bool(restore and restore.get("acquired"))
-        for stmt_pos, (waits, executed, compiled,
-                       stmt_plan) in enumerate(self._stream(pid)):
+        if basic:
+            acquired = bool(restore and restore.get("acquired"))
+        else:
+            # load_index: myPC and the owned flag live in processor
+            # registers.
+            primitives = ImprovedPrimitives(self.counters, pid)
+            if restore:
+                primitives.owned = bool(restore.get("owned"))
+                primitives.last_step = restore.get("last_step", 0)
+        index = self.loop.index_of_lpid(pid)
+        first_pid = self.counters.first_pid
+        n = self.counters.n_counters
+        for stmt_pos, (template, waits, source_step,
+                       is_last_source) in enumerate(self.templates()):
             replay_skip = stmt_pos < skip_stmt
+            executed = template.executes_at(index)
             if not replay_skip:
-                for op in waits:
-                    yield op
-                if compiled is not None:
-                    # inlined CompiledStatement.stream (same op sequence)
-                    yield compiled.tag_op
-                    values = []
-                    for read_op in compiled.read_ops:
-                        value = yield read_op
-                        values.append(value)
-                    yield compiled.compute_op
-                    result = mix(compiled.sid, compiled.lpid, values)
-                    for addr in compiled.write_addrs:
-                        yield MemWrite(addr, result)
-                    yield _CLEAR_TAG
-            if stmt_plan.source_step is None:
+                for dist, step, reason in waits:
+                    source = pid - dist
+                    if source >= first_pid:  # else: loop-boundary sink
+                        yield WaitUntil((source - first_pid) % n,
+                                        pc_at_least((source, step)),
+                                        reason=f"{reason}{pid}")
+                if executed:
+                    yield from template.issue(index, pid)
+            if source_step is None:
                 continue
             # Requirement (1) of section 2.2: the source's effect must be
             # globally visible before its completion is signalled.  The
@@ -202,64 +186,25 @@ class ProcessOrientedLoop(InstrumentedLoop):
             # from this step, so their posted writes must drain before
             # the step is published.  (No outstanding writes: free.)
             if not replay_skip:
-                yield _FENCE
+                yield FENCE
             step = cursor.advance(executed)
             if replay_skip:
                 continue  # signal landed pre-crash; cursor stays in sync
-            if stmt_plan.is_last_source:
+            if basic:
+                if step is None and not is_last_source:
+                    continue
                 if not acquired:
                     yield from get_pc(self.counters, pid)
                     acquired = True
-                yield from release_pc(self.counters, pid,
-                                      current_step=cursor.published,
-                                      checkpoint=self._ckpt(
-                                          pid, stmt_pos + 1,
-                                          acquired=True))
-            elif step is not None:
-                if not acquired:
-                    yield from get_pc(self.counters, pid)
-                    acquired = True
-                yield from set_pc(self.counters, pid, step,
-                                  checkpoint=self._ckpt(
-                                      pid, stmt_pos + 1, acquired=True))
-
-    def _improved_process(self, pid: int, skip_stmt: int = 0,
-                          restore: Optional[dict] = None) -> Generator:
-        cursor = StepCursor(self.plan.n_sources,
-                            eager=self.eager_branch_marks)
-        # load_index: myPC and the owned flag live in processor registers.
-        primitives = ImprovedPrimitives(self.counters, pid)
-        if restore:
-            primitives.owned = bool(restore.get("owned"))
-            primitives.last_step = restore.get("last_step", 0)
-        for stmt_pos, (waits, executed, compiled,
-                       stmt_plan) in enumerate(self._stream(pid)):
-            replay_skip = stmt_pos < skip_stmt
-            if not replay_skip:
-                for op in waits:
-                    yield op
-                if compiled is not None:
-                    # inlined CompiledStatement.stream (same op sequence)
-                    yield compiled.tag_op
-                    values = []
-                    for read_op in compiled.read_ops:
-                        value = yield read_op
-                        values.append(value)
-                    yield compiled.compute_op
-                    result = mix(compiled.sid, compiled.lpid, values)
-                    for addr in compiled.write_addrs:
-                        yield MemWrite(addr, result)
-                    yield _CLEAR_TAG
-            if stmt_plan.source_step is None:
-                continue
-            # Fence on every path, skipped sources included (see
-            # _basic_process): pruning relies on it.
-            if not replay_skip:
-                yield _FENCE
-            step = cursor.advance(executed)
-            if replay_skip:
-                continue  # signal landed pre-crash; cursor stays in sync
-            if stmt_plan.is_last_source:
+                checkpoint = self._ckpt(pid, stmt_pos + 1, acquired=True)
+                if is_last_source:
+                    yield from release_pc(self.counters, pid,
+                                          current_step=cursor.published,
+                                          checkpoint=checkpoint)
+                else:
+                    yield from set_pc(self.counters, pid, step,
+                                      checkpoint=checkpoint)
+            elif is_last_source:
                 primitives.last_step = cursor.published
                 yield from primitives.transfer_pc(
                     checkpoint=self._ckpt(pid, stmt_pos + 1, owned=True,

@@ -30,11 +30,11 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..depend.graph import DependenceGraph
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import (Address, Annotate, Compute, Fence, MemRead, MemWrite,
-                       SyncUpdate, SyncWrite, WaitUntil)
+from ..sim.ops import (Address, Annotate, MemRead, MemWrite, SyncUpdate,
+                       SyncWrite, WaitUntil)
 from ..sim.sync_bus import MemorySyncFabric, SyncFabric
 from ..sim.validate import mix
-from .base import InstrumentedLoop, SyncScheme
+from .base import _CLEAR_TAG, FENCE, InstrumentedLoop, SyncScheme, at_least
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class KeyedAccess:
 
 def _increment(value: int) -> int:
     return value + 1
-
-
-#: shared immutable ops for the compiled streams
-_FENCE = Fence()
-_CLEAR_TAG = Annotate("tag", {"tag": None})
 
 
 def plan_accesses(loop: Loop) -> Dict[Tuple[str, int], List[KeyedAccess]]:
@@ -106,61 +101,9 @@ class ReferenceBasedLoop(InstrumentedLoop):
              for access in accesses})
         #: keys are allocated in ``elements`` order on a fresh fabric,
         #: so their ids are known before any run (asserted in
-        #: build_fabric): each iteration's stream compiles on first use.
+        #: build_fabric) and the body can name them as it issues.
         self._key_of: Dict[Address, int] = {
             addr: key for key, addr in enumerate(self.elements)}
-
-    def _compile(self, pid: int) -> list:
-        """Compile ``pid``'s clean-run op stream (no checkpoints).
-
-        One entry per executed statement: ``(tag_op, reads, compute_op,
-        sid, writes)`` with per-access ``(wait, read, update)`` /
-        ``(wait, addr, update)`` triples -- exactly what :meth:`_body`
-        emits with no replay skip and checkpoints off.
-        """
-        index = self.loop.index_of_lpid(pid)
-        program = []
-        for stmt in self.loop.body:
-            if not stmt.executes_at(index):
-                continue
-            reads = []
-            writes = []
-            for access in self.plan[(stmt.sid, pid)]:
-                key = self._key_of[access.addr]
-                wait_op = WaitUntil(key, _at_least(access.threshold),
-                                    reason=f"key {access.addr} >= "
-                                           f"{access.threshold}")
-                update_op = SyncUpdate(key, _increment)
-                if access.kind == "R":
-                    reads.append((wait_op, MemRead(access.addr),
-                                  update_op))
-                else:
-                    writes.append((wait_op, access.addr, update_op))
-            program.append((Annotate("tag", {"tag": (stmt.sid, pid)}),
-                            tuple(reads),
-                            Compute(stmt.cost_at(index)),
-                            stmt.sid,
-                            tuple(writes)))
-        return program
-
-    def _fast_body(self, pid: int) -> Generator:
-        """Replay the compiled stream (clean runs, no checkpoints)."""
-        for tag_op, reads, compute_op, sid, writes in self._stream(pid):
-            yield tag_op
-            values: List[Any] = []
-            for wait_op, read_op, update_op in reads:
-                yield wait_op
-                value = yield read_op
-                values.append(value)
-                yield update_op
-            yield compute_op
-            result = mix(sid, pid, values)
-            for wait_op, addr, update_op in writes:
-                yield wait_op
-                yield MemWrite(addr, result)
-                yield _FENCE
-                yield update_op
-            yield _CLEAR_TAG
 
     def build_fabric(self, memory: SharedMemory) -> SyncFabric:
         fabric = MemorySyncFabric(memory, poll_interval=self.poll_interval)
@@ -187,9 +130,7 @@ class ReferenceBasedLoop(InstrumentedLoop):
         return len(self.elements)
 
     def make_process(self, pid: int) -> Generator:
-        if self.checkpoints_enabled:
-            return self._body(pid)
-        return self._fast_body(pid)
+        return self._body(pid)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -217,57 +158,52 @@ class ReferenceBasedLoop(InstrumentedLoop):
     def _body(self, pid: int, skip_stmt: int = 0, skip_acc: int = 0,
               journaled: Optional[List[Any]] = None) -> Generator:
         index = self.loop.index_of_lpid(pid)
-        executed = [stmt for stmt in self.loop.body
-                    if stmt.executes_at(index)]
-        for stmt_pos, stmt in enumerate(executed):
+        key_of = self._key_of
+        stmt_pos = -1
+        for template in self.templates():
+            if not template.executes_at(index):
+                continue
+            stmt_pos += 1
             if stmt_pos < skip_stmt:
                 continue
             acc_done = skip_acc if stmt_pos == skip_stmt else 0
-            seen = (journaled or []) if stmt_pos == skip_stmt else []
-            accesses = self.plan[(stmt.sid, pid)]
-            reads = [a for a in accesses if a.kind == "R"]
-            writes = [a for a in accesses if a.kind == "W"]
+            sid = template.sid
+            accesses = self.plan[(sid, pid)]
             if acc_done >= len(accesses) and accesses:
                 continue  # statement fully signalled before the crash
-            yield Annotate("tag", {"tag": (stmt.sid, pid)})
+            n_reads = len(template.reads)
+            yield Annotate("tag", {"tag": (sid, pid)})
             values: List[Any] = []
-            for position, access in enumerate(reads):
+            for position in range(n_reads):
                 if position < acc_done:
                     # Increment already landed: reuse the journalled
                     # value instead of re-reading + re-incrementing.
-                    values.append(seen[position])
+                    values.append(journaled[position])
                     continue
-                key = self._key_of[access.addr]
-                yield WaitUntil(key, _at_least(access.threshold),
+                access = accesses[position]
+                key = key_of[access.addr]
+                yield WaitUntil(key, at_least(access.threshold),
                                 reason=f"key {access.addr} >= "
                                        f"{access.threshold}")
-                value = yield MemRead(access.addr)
-                values.append(value)
+                values.append((yield MemRead(access.addr)))
                 yield SyncUpdate(key, _increment,
                                  checkpoint=self._ckpt(
                                      pid, stmt_pos, position + 1, values))
-            yield Compute(stmt.cost_at(index))
-            result = mix(stmt.sid, pid, values)
-            for write_pos, access in enumerate(writes):
-                position = len(reads) + write_pos
-                if position < acc_done:
-                    continue  # write + increment already landed
-                key = self._key_of[access.addr]
-                yield WaitUntil(key, _at_least(access.threshold),
+            yield template.compute_at(index)
+            result = mix(sid, pid, values)
+            for position in range(max(n_reads, acc_done), len(accesses)):
+                # (writes before ``acc_done`` already landed)
+                access = accesses[position]
+                key = key_of[access.addr]
+                yield WaitUntil(key, at_least(access.threshold),
                                 reason=f"key {access.addr} >= "
                                        f"{access.threshold}")
                 yield MemWrite(access.addr, result)
-                yield Fence()  # visible before the key admits successors
+                yield FENCE  # visible before the key admits successors
                 yield SyncUpdate(key, _increment,
                                  checkpoint=self._ckpt(
                                      pid, stmt_pos, position + 1, values))
-            yield Annotate("tag", {"tag": None})
-
-
-def _at_least(threshold: int):
-    def predicate(value: int) -> bool:
-        return value >= threshold
-    return predicate
+            yield _CLEAR_TAG
 
 
 class ReferenceBasedScheme(SyncScheme):

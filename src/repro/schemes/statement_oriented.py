@@ -22,33 +22,15 @@ Advance implies all earlier iterations are done).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..depend.graph import DependenceGraph, SyncArc
 from ..depend.model import Loop
 from ..sim.memory import SharedMemory
-from ..sim.ops import Fence, MemWrite, SyncWrite, WaitUntil
+from ..sim.ops import SyncWrite, WaitUntil
 from ..sim.sync_bus import BroadcastSyncFabric, SyncFabric
-from ..sim.validate import mix
-from .base import (_CLEAR_TAG, InstrumentedLoop, SyncScheme,
-                   compile_statement, execute_statement)
-
-
-def at_least(threshold: int):
-    """Monotone predicate: counter value >= ``threshold``."""
-    predicate = _AT_LEAST.get(threshold)
-    if predicate is None:
-        def predicate(value: int, _threshold: int = threshold) -> bool:
-            return value >= _threshold
-        _AT_LEAST[threshold] = predicate
-    return predicate
-
-
-#: threshold -> predicate memo; thresholds are small ints, and reusing
-#: the closure keeps compiled op streams allocation-free
-_AT_LEAST: Dict[int, Any] = {}
-
-_FENCE = Fence()
+from .base import (FENCE, InstrumentedLoop, StatementTemplate, SyncScheme,
+                   at_least)
 
 
 class StatementOrientedLoop(InstrumentedLoop):
@@ -64,7 +46,7 @@ class StatementOrientedLoop(InstrumentedLoop):
             if any(arc.src == stmt.sid for arc in arcs)]
         #: statement counters are allocated first on a fresh fabric, so
         #: their ids are known before any run (asserted in
-        #: build_fabric): each iteration's stream compiles on first use.
+        #: build_fabric) and the templates can name them.
         self._sc_vars: Dict[str, int] = {
             sid: var for var, sid in enumerate(self.source_sids)}
         self._first_pid = 1
@@ -93,83 +75,28 @@ class StatementOrientedLoop(InstrumentedLoop):
 
     # ------------------------------------------------------------------
 
-    def _advance(self, sid: str, pid: int,
-                 checkpoint: Optional[dict] = None) -> Generator:
-        """wait until SC[sid] = pid-1; set SC[sid] to pid."""
-        var = self._sc_vars[sid]
-        yield WaitUntil(var, at_least(pid - 1),
-                        reason=f"Advance({sid}) by p{pid}")
-        yield SyncWrite(var, pid, coverable=False, checkpoint=checkpoint)
+    def _build_templates(self) -> list:
+        """``(statement, awaits, advance)`` per body statement.
 
-    def _await(self, sid: str, dist: int, pid: int) -> Generator:
-        """wait until SC[sid] >= pid - dist (skip past loop boundary)."""
-        if pid - dist < self._first_pid:
-            return
-        yield WaitUntil(self._sc_vars[sid], at_least(pid - dist),
-                        reason=f"Await({dist},{sid}) by p{pid}")
-
-    def _compile(self, pid: int) -> list:
-        """Compile ``pid``'s clean-run op stream (see ``_sc_vars`` note).
-
-        One entry per body statement: ``(awaits, compiled, advance)``
-        where ``awaits`` is the tuple of Await ops, ``compiled`` the
-        statement instance's compiled stream (None when the guard skips
-        it) and ``advance`` the ``(wait, write)`` Advance pair (None for
-        non-sources).  Exactly the stream :meth:`_body` emits with no
-        replay skip and checkpoints off.
+        ``awaits`` holds ``(var, dist, reason prefix)`` per incoming arc,
+        ``advance`` is ``(var, reason prefix)`` for a source statement
+        (None otherwise); :meth:`_body` binds both to its pid.
         """
-        index = self.loop.index_of_lpid(pid)
-        program = []
+        templates = []
         for stmt in self.loop.body:
             awaits = tuple(
-                WaitUntil(self._sc_vars[arc.src],
-                          at_least(pid - arc.distance),
-                          reason=f"Await({arc.distance},{arc.src}) "
-                                 f"by p{pid}")
-                for arc in self.arcs
-                if arc.dst == stmt.sid
-                and pid - arc.distance >= self._first_pid)
-            compiled = (compile_statement(self.loop, stmt, index, pid)
-                        if stmt.executes_at(index) else None)
-            advance = None
-            if stmt.sid in self._sc_vars:
-                var = self._sc_vars[stmt.sid]
-                advance = (
-                    WaitUntil(var, at_least(pid - 1),
-                              reason=f"Advance({stmt.sid}) by p{pid}"),
-                    SyncWrite(var, pid, coverable=False))
-            program.append((awaits, compiled, advance))
-        return program
-
-    def _fast_body(self, pid: int) -> Generator:
-        """Replay the compiled stream (clean runs, no checkpoints).
-
-        The statement body inlines ``CompiledStatement.stream`` (same op
-        sequence) to spare the ``yield from`` frame hop per op.
-        """
-        for awaits, compiled, advance in self._stream(pid):
-            for op in awaits:
-                yield op
-            if compiled is not None:
-                yield compiled.tag_op
-                values: List[Any] = []
-                for read_op in compiled.read_ops:
-                    value = yield read_op
-                    values.append(value)
-                yield compiled.compute_op
-                result = mix(compiled.sid, compiled.lpid, values)
-                for addr in compiled.write_addrs:
-                    yield MemWrite(addr, result)
-                yield _CLEAR_TAG
-            if advance is not None:
-                yield _FENCE
-                yield advance[0]
-                yield advance[1]
+                (self._sc_vars[arc.src], arc.distance,
+                 f"Await({arc.distance},{arc.src}) by p")
+                for arc in self.arcs if arc.dst == stmt.sid)
+            var = self._sc_vars.get(stmt.sid)
+            advance = (None if var is None
+                       else (var, f"Advance({stmt.sid}) by p"))
+            templates.append(
+                (StatementTemplate(self.loop, stmt), awaits, advance))
+        return templates
 
     def make_process(self, pid: int) -> Generator:
-        if self.checkpoints_enabled:
-            return self._body(pid)
-        return self._fast_body(pid)
+        return self._body(pid)
 
     def make_replay_process(self, iteration: int,
                             checkpoint: Optional[dict] = None) -> Generator:
@@ -185,35 +112,39 @@ class StatementOrientedLoop(InstrumentedLoop):
         skip = 0 if checkpoint is None else checkpoint["stmt"]
         return self._body(iteration, skip_stmt=skip)
 
-    def _ckpt(self, pid: int, stmt_pos: int) -> Optional[dict]:
-        if not self.checkpoints_enabled:
-            return None
-        return {"iter": pid, "stmt": stmt_pos}
-
     def _body(self, pid: int, skip_stmt: int = 0) -> Generator:
         index = self.loop.index_of_lpid(pid)
-        for stmt_pos, stmt in enumerate(self.loop.body):
+        checkpoints = self.checkpoints_enabled
+        first_pid = self._first_pid
+        for stmt_pos, (template, awaits, advance) in enumerate(
+                self.templates()):
             if stmt_pos < skip_stmt:
                 continue  # Advance already landed for this position
-            # sink first: Await every incoming arc
-            for arc in self.arcs:
-                if arc.dst == stmt.sid:
-                    yield from self._await(arc.src, arc.distance, pid)
-            executed = stmt.executes_at(index)
-            if executed:
-                yield from execute_statement(self.loop, stmt, index, pid)
-            if stmt.sid in self._sc_vars:
-                # Fence even when the guard skipped the statement: arc
-                # pruning treats Advance as proof that everything
-                # program-order-before it in this process is complete
-                # AND visible, so earlier statements' posted writes must
-                # drain before the counter moves.  (A fence with no
-                # outstanding writes is free.)
-                yield Fence()
-                # Advance runs on every path (Example 3's rule), or sinks
-                # of skipped sources would deadlock the Advance chain.
-                yield from self._advance(stmt.sid, pid,
-                                         self._ckpt(pid, stmt_pos + 1))
+            # sink first: Await(D, a) -- wait until SC[a] >= pid - D,
+            # skipped past the loop boundary
+            for var, dist, reason in awaits:
+                if pid - dist >= first_pid:
+                    yield WaitUntil(var, at_least(pid - dist),
+                                    reason=f"{reason}{pid}")
+            if template.executes_at(index):
+                yield from template.issue(index, pid)
+            if advance is None:
+                continue
+            # Fence even when the guard skipped the statement: arc
+            # pruning treats Advance as proof that everything
+            # program-order-before it in this process is complete AND
+            # visible, so earlier statements' posted writes must drain
+            # before the counter moves.  (A fence with no outstanding
+            # writes is free.)
+            yield FENCE
+            # Advance runs on every path (Example 3's rule), or sinks of
+            # skipped sources would deadlock the Advance chain: wait
+            # until SC[a] = pid-1, then set it to pid.
+            var, reason = advance
+            yield WaitUntil(var, at_least(pid - 1), reason=f"{reason}{pid}")
+            yield SyncWrite(var, pid, coverable=False,
+                            checkpoint=({"iter": pid, "stmt": stmt_pos + 1}
+                                        if checkpoints else None))
 
 
 class StatementOrientedScheme(SyncScheme):

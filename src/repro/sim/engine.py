@@ -600,6 +600,20 @@ class Engine:
                 report=self._diagnose())
         return self.now
 
+    def close(self) -> None:
+        """Break the engine's reference cycles once its runs are over.
+
+        The bound-method tables (``_step``, ``_handlers``) and the
+        fabric's and recovery layer's back-references make an engine
+        cyclic garbage that only a GC pass frees; without them reference
+        counting frees it, its queues and its tasks as soon as its last
+        user lets go.  A closed engine cannot run again.
+        """
+        self._step = None
+        self._handlers.clear()
+        self.fabric.attach(None)
+        self.recovery = None
+
     def _drain_fast(self) -> None:
         """The hot drain loop (no stagnation watchdog configured).
 

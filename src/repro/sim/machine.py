@@ -166,70 +166,75 @@ class Machine:
                         stagnation_limit=self.config.stagnation_limit,
                         collect_events=(self.config.metrics != "counters"),
                         sync_tap=self.config.sync_tap)
-        recovery = None
-        if injector is not None and self.config.recovery is not None:
-            recovery = RecoveryManager(self.config.recovery, plan)
-            recovery.attach(engine, workload)
-            recovery._grab_op = MemRead(SCHED_COUNTER)
-            enable = getattr(workload, "enable_checkpoints", None)
-            if enable is not None:
-                enable()
-
-        # Prologue: run setup processes (e.g. key initialization) spread
-        # over the machine's processors before the loop begins.
-        prologue = workload.prologue()
-        if prologue:
-            for index, gen in enumerate(prologue):
-                engine.spawn(gen, name=f"init{index}")
-                if recovery is not None:
-                    recovery.register_worker(f"init{index}", index,
-                                             f"init{index}")
-            engine.run()
-        init_cycles = engine.now
-
-        scheduler = self._make_scheduler(workload.iterations)
-        if recovery is not None:
-            recovery.set_scheduler(scheduler)
-        stats = [
-            engine.spawn(self._processor(pid, scheduler, workload,
-                                         recovery),
-                         name=f"cpu{pid}")
-            for pid in range(self.config.processors)
-        ]
-        if recovery is not None:
-            for pid in range(self.config.processors):
-                recovery.register_worker(f"cpu{pid}", pid, f"cpu{pid}")
+        # The engine is closed on the way out, run or hazard: its
+        # cycles broken, it is freed as soon as this frame lets go.
         try:
-            makespan = engine.run()
-        except HazardError as err:
-            # Enrich the diagnosis with scheduler state: how much loop
-            # work was never even handed out when the run died.
-            if err.report is not None:
-                err.report.unclaimed_iterations = scheduler.remaining()
-            raise
+            recovery = None
+            if injector is not None and self.config.recovery is not None:
+                recovery = RecoveryManager(self.config.recovery, plan)
+                recovery.attach(engine, workload)
+                recovery._grab_op = MemRead(SCHED_COUNTER)
+                enable = getattr(workload, "enable_checkpoints", None)
+                if enable is not None:
+                    enable()
 
-        covered = getattr(fabric, "covered_writes", 0)
-        self.last_run_info = {"events_processed": engine.events_processed}
-        extra: Dict[str, Any] = {"schema_version": EXTRA_SCHEMA_VERSION,
-                                 "events": engine.events,
-                                 "activity": engine.activity}
-        if injector is not None:
-            extra["faults"] = dict(injector.counters)
-        if recovery is not None:
-            extra["recovery"] = dict(recovery.counters)
-        return RunResult(
-            makespan=makespan,
-            processors=stats,
-            memory_transactions=memory.transactions,
-            memory_hotspot=memory.max_module_traffic(),
-            sync_transactions=fabric.transactions,
-            covered_writes=covered,
-            sync_vars=workload.sync_vars,
-            sync_storage_words=fabric.storage_words,
-            init_cycles=init_cycles,
-            trace=engine.trace,
-            sync_trace=engine.sync_trace,
-            final_memory=memory.snapshot(),
-            extra=extra,
-            tap=engine.tap,
-        )
+            # Prologue: run setup processes (e.g. key initialization) spread
+            # over the machine's processors before the loop begins.
+            prologue = workload.prologue()
+            if prologue:
+                for index, gen in enumerate(prologue):
+                    engine.spawn(gen, name=f"init{index}")
+                    if recovery is not None:
+                        recovery.register_worker(f"init{index}", index,
+                                                 f"init{index}")
+                engine.run()
+            init_cycles = engine.now
+
+            scheduler = self._make_scheduler(workload.iterations)
+            if recovery is not None:
+                recovery.set_scheduler(scheduler)
+            stats = [
+                engine.spawn(self._processor(pid, scheduler, workload,
+                                             recovery),
+                             name=f"cpu{pid}")
+                for pid in range(self.config.processors)
+            ]
+            if recovery is not None:
+                for pid in range(self.config.processors):
+                    recovery.register_worker(f"cpu{pid}", pid, f"cpu{pid}")
+            try:
+                makespan = engine.run()
+            except HazardError as err:
+                # Enrich the diagnosis with scheduler state: how much loop
+                # work was never even handed out when the run died.
+                if err.report is not None:
+                    err.report.unclaimed_iterations = scheduler.remaining()
+                raise
+
+            covered = getattr(fabric, "covered_writes", 0)
+            self.last_run_info = {"events_processed": engine.events_processed}
+            extra: Dict[str, Any] = {"schema_version": EXTRA_SCHEMA_VERSION,
+                                     "events": engine.events,
+                                     "activity": engine.activity}
+            if injector is not None:
+                extra["faults"] = dict(injector.counters)
+            if recovery is not None:
+                extra["recovery"] = dict(recovery.counters)
+            return RunResult(
+                makespan=makespan,
+                processors=stats,
+                memory_transactions=memory.transactions,
+                memory_hotspot=memory.max_module_traffic(),
+                sync_transactions=fabric.transactions,
+                covered_writes=covered,
+                sync_vars=workload.sync_vars,
+                sync_storage_words=fabric.storage_words,
+                init_cycles=init_cycles,
+                trace=engine.trace,
+                sync_trace=engine.sync_trace,
+                final_memory=memory.snapshot(),
+                extra=extra,
+                tap=engine.tap,
+            )
+        finally:
+            engine.close()

@@ -79,6 +79,30 @@ def test_pair_mode_requires_app_and_scheme(capsys):
     assert "--gate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gate", "--app", "nosuch"], "unknown app 'nosuch'"),
+    (["--gate", "--scheme", "nosuch"], "unknown scheme 'nosuch'"),
+    (["--app", "nosuch", "--scheme", "process-oriented"],
+     "unknown app 'nosuch'"),
+    (["--app", "fig2.1", "--scheme", "nosuch"], "unknown scheme 'nosuch'"),
+    (["--app", "nosuch", "--scheme", "process-oriented", "--optimize"],
+     "unknown app 'nosuch'"),
+    (["--app", "fig2.1", "--scheme", "nosuch", "--eliminate"],
+     "unknown scheme 'nosuch'"),
+    (["--app", "fig2.1", "--scheme", "reference-based", "--optimize"],
+     "--optimize needs an arc-driven scheme"),
+])
+def test_user_input_errors_are_parser_errors(capsys, argv, message):
+    """Bad input exits 2 with one parser line, never a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.strip().splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
 def test_param_overrides_the_gate_size(capsys):
     assert main(["analyze", "--app", "fig2.1",
                  "--scheme", "reference-based", "--param", "n=8",
